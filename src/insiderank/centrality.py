@@ -8,20 +8,23 @@ All three are classical definitions on an undirected simple graph:
 * betweenness: for every unordered vertex pair, the fraction of shortest
   paths running through a vertex (endpoints excluded), un-normalized.
 
-Betweenness uses the single-source dependency-accumulation scheme (one BFS
-plus a reverse sweep per source).  The arithmetic domain is selectable:
-floats for production scale, exact rationals (``exact=True``) when results
-must match an independent path-enumeration oracle bit for bit after the
-final float conversion.  Per-source passes may run on a thread pool; the
-reduction always happens in ascending source order, so the output does not
-depend on the worker count.
+Betweenness is Brandes' dependency accumulation in two arithmetic domains.
+The float path (the default) runs it level-synchronously over fixed blocks
+of sources with dense float64 matrix products: one product with the
+adjacency per BFS level forward, to count shortest paths, and one per level
+backward, to accumulate dependencies.  Blocks are reduced in ascending
+source order, so the result is deterministic; multithreaded BLAS may round
+differently from single-threaded BLAS in the last bits.  The exact path
+(``exact=True``) runs one BFS plus reverse sweep per source in rational
+arithmetic and matches an independent path-enumeration oracle bit for bit
+after the final float conversion.  It also serves graphs whose path counts
+leave float64's exact integer range.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -116,13 +119,17 @@ def eigenvector_centrality(
     )
 
 
-def _source_dependencies(graph: AttributedGraph, s: int, one):
-    """BFS from s plus the reverse dependency sweep.
+# Sources per block of the float path.  Each of the half-dozen (n x block)
+# float64 work arrays then takes n KiB, well below the n x n adjacency.
+_BLOCK = 128
 
-    ``one`` selects the arithmetic domain for the dependencies: 1.0 for
-    floats, Fraction(1) for exact rationals.  Path counts are Python ints
-    either way, so they are exact in both domains.
-    """
+# float64 holds every integer below 2**53 exactly; a path count that reaches
+# it may have been rounded.
+_EXACT_SIGMA_LIMIT = 2.0**53
+
+
+def _source_dependencies(graph: AttributedGraph, s: int) -> list[Fraction]:
+    """BFS from s plus the reverse dependency sweep, in exact rationals."""
     n = graph.n_vertices
     sigma = [0] * n
     sigma[s] = 1
@@ -143,46 +150,81 @@ def _source_dependencies(graph: AttributedGraph, s: int, one):
                 sigma[w] += sigma[v]
                 preds[w].append(v)
 
-    zero = one * 0
-    delta = [zero] * n
+    delta = [Fraction(0)] * n
     for w in reversed(order):
-        coeff = (one + delta[w]) / sigma[w]
+        coeff = (1 + delta[w]) / sigma[w]
         for v in preds[w]:
             delta[v] = delta[v] + sigma[v] * coeff
     return delta
 
 
-def betweenness_centrality(
-    graph: AttributedGraph,
-    *,
-    threads: int = 1,
-    exact: bool = False,
-) -> np.ndarray:
+def _exact_betweenness(graph: AttributedGraph) -> np.ndarray:
+    n = graph.n_vertices
+    totals = [Fraction(0)] * n
+    for s in range(n):
+        delta = _source_dependencies(graph, s)
+        for v in range(n):
+            if v != s:
+                totals[v] += delta[v]
+    # each unordered pair was counted from both endpoints
+    return np.array([float(t / 2) for t in totals], dtype=np.float64)
+
+
+def _block_dependencies(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray | None:
+    """Dependencies of every vertex (rows) on each source (columns).
+
+    Returns None when some path count reaches ``_EXACT_SIGMA_LIMIT``.
+    """
+    n, b = adjacency.shape[0], len(sources)
+    columns = np.arange(b)
+    level = np.full((n, b), -1, dtype=np.int32)
+    level[sources, columns] = 0
+    frontier = np.zeros((n, b))
+    frontier[sources, columns] = 1.0
+    sigma = frontier.copy()
+    depth = 0
+    while True:
+        reach = adjacency @ frontier
+        new = (reach > 0) & (level < 0)
+        if not new.any():
+            break
+        depth += 1
+        level[new] = depth
+        frontier = np.where(new, reach, 0.0)
+        sigma += frontier
+    if sigma.max() >= _EXACT_SIGMA_LIMIT:
+        return None
+
+    # level-1 vertices pass dependency only to the source, whose own entry
+    # does not count, so the sweep ends at level 2 and sources stay at 0
+    delta = np.zeros((n, b))
+    for d in range(depth, 1, -1):
+        coeff = np.divide(1.0 + delta, sigma, out=np.zeros((n, b)), where=level == d)
+        delta += np.where(level == d - 1, sigma * (adjacency @ coeff), 0.0)
+    return delta
+
+
+def betweenness_centrality(graph: AttributedGraph, *, exact: bool = False) -> np.ndarray:
     """Shortest-path betweenness over unordered pairs, endpoints excluded.
 
     With ``exact=True`` the dependency sums are computed in rational
     arithmetic and converted to float once at the end, which makes the
     result independent of evaluation order and identical to a brute-force
-    path enumeration.  The float path is the production default.
+    path enumeration.  The float path is the production default; a graph
+    with a path count of 2**53 or more falls back to the exact path.
     """
+    if exact:
+        return _exact_betweenness(graph)
     n = graph.n_vertices
-    one = Fraction(1) if exact else 1.0
-    sources = range(n)
-    if threads <= 1:
-        deltas = [_source_dependencies(graph, s, one) for s in sources]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            deltas = list(pool.map(lambda s: _source_dependencies(graph, s, one), sources))
-
-    # reduce in ascending source order so results are thread-count invariant
-    totals = [one * 0] * n
-    for s in sources:
-        delta = deltas[s]
-        for v in range(n):
-            if v != s:
-                totals[v] = totals[v] + delta[v]
+    adjacency = graph.adjacency_matrix().astype(np.float64)
+    totals = np.zeros(n)
+    for start in range(0, n, _BLOCK):
+        delta = _block_dependencies(adjacency, np.arange(start, min(start + _BLOCK, n)))
+        if delta is None:
+            return _exact_betweenness(graph)
+        totals += delta.sum(axis=1)
     # each unordered pair was counted from both endpoints
-    return np.array([float(t / 2) for t in totals], dtype=np.float64)
+    return totals / 2
 
 
 def compute_centralities(
@@ -190,12 +232,11 @@ def compute_centralities(
     *,
     tol: float = 1e-10,
     max_iter: int = 10000,
-    threads: int = 1,
 ) -> CentralityTable:
     return CentralityTable(
         degree=degree_centrality(graph),
         eigenvector=eigenvector_centrality(graph, tol=tol, max_iter=max_iter),
-        betweenness=betweenness_centrality(graph, threads=threads),
+        betweenness=betweenness_centrality(graph),
     )
 
 

@@ -33,7 +33,12 @@ from dataclasses import fields as dataclass_fields
 from datetime import time as dtime
 from pathlib import Path
 
-from .centrality import NonConvergenceError, compute_centralities, write_centrality_csv
+from .centrality import (
+    CentralityTable,
+    NonConvergenceError,
+    compute_centralities,
+    write_centrality_csv,
+)
 from .clustering import (
     ClusterParams,
     OracleBoundExceeded,
@@ -59,7 +64,7 @@ from .features import (
     read_nodes_csv,
     write_nodes_csv,
 )
-from .graph import build_graph, degree_profile, load_graph, write_edges_csv
+from .graph import AttributedGraph, build_graph, degree_profile, load_graph, write_edges_csv
 from .ingest import (
     LogEvent,
     RejectReport,
@@ -121,7 +126,7 @@ DEFAULTS: dict[str, object] = {
     # scoring
     "score_variants": [1, 2, 3, 4, 5, 6],
     "centrality_outside_sum": False,
-    # concurrency
+    # GRASP worker threads
     "threads": 1,
     # synthetic corpus generation
     "synth_n_users": 40,
@@ -401,10 +406,16 @@ def stage_graph(cfg, manifest: Manifest) -> None:
     print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
 
 
+def _centralities(cfg, graph: AttributedGraph) -> CentralityTable:
+    return compute_centralities(
+        graph, tol=float(cfg["eigen_tol"]), max_iter=int(cfg["eigen_max_iter"]))
+
+
 def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
-                  case_dir: Path | None = None) -> None:
+                  case_dir: Path | None = None, graph: AttributedGraph | None = None) -> None:
     out = case_dir or _out_dir(cfg)
-    graph = _load_graph_artifacts(cfg, manifest)
+    if graph is None:
+        graph = _load_graph_artifacts(cfg, manifest)
     params = params or _cluster_params(cfg)
     if cfg["use_exact"]:
         result = enumerate_clusters_exact(graph, params, oracle_bound=int(cfg["oracle_bound"]))
@@ -417,17 +428,17 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
           f"(c_max={result.c_max}, s_max={result.s_max})")
 
 
-def stage_rank(cfg, manifest: Manifest, params: ClusterParams | None = None,
-               case_dir: Path | None = None) -> None:
+def stage_rank(cfg, manifest: Manifest, case_dir: Path | None = None,
+               graph: AttributedGraph | None = None,
+               centralities: CentralityTable | None = None) -> None:
     out = case_dir or _out_dir(cfg)
-    graph = _load_graph_artifacts(cfg, manifest)
+    if graph is None:
+        graph = _load_graph_artifacts(cfg, manifest)
     clusters_path = _require(out / "clusters.jsonl", "cluster artifact (run cluster first)")
     manifest.add_input(clusters_path)
     result = read_clusters_jsonl(clusters_path, graph)
-    centralities = compute_centralities(
-        graph, tol=float(cfg["eigen_tol"]), max_iter=int(cfg["eigen_max_iter"]),
-        threads=int(cfg["threads"]),
-    )
+    if centralities is None:
+        centralities = _centralities(cfg, graph)
     write_centrality_csv(out / "centrality.csv", graph, centralities)
     manifest.add_output(out / "centrality.csv")
     table = compute_scores(result, centralities, graph,
@@ -561,6 +572,10 @@ def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
     timed("ingest", stage_ingest, cfg, manifest)
     timed("features", stage_features, cfg, manifest)
     timed("graph", stage_graph, cfg, manifest)
+    # neither the graph nor its centralities depend on cluster parameters,
+    # so every grid case shares one load and one computation
+    graph = _load_graph_artifacts(cfg, manifest)
+    centralities = timed("centrality", _centralities, cfg, graph)
 
     cases = _grid_cases(grid)
     have_truth = _ground_truth_path(cfg) is not None
@@ -574,8 +589,8 @@ def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
         else:
             case_dir = out / "cases" / label
             case_dir.mkdir(parents=True, exist_ok=True)
-        timed(f"cluster:{label}", stage_cluster, cfg, manifest, params, case_dir)
-        timed(f"rank:{label}", stage_rank, cfg, manifest, params, case_dir)
+        timed(f"cluster:{label}", stage_cluster, cfg, manifest, params, case_dir, graph)
+        timed(f"rank:{label}", stage_rank, cfg, manifest, case_dir, graph, centralities)
         if have_truth:
             rows.append(timed(f"eval:{label}", stage_eval, cfg, manifest, params,
                               case_dir, label))
@@ -594,7 +609,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the rng_seed config key")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker thread cap (does not affect results)")
+                        help="GRASP worker thread cap (does not affect results)")
     parser.add_argument("--grid", metavar="SPEC",
                         help='parameter sweep for pipeline, e.g. "n_min=3,4,5;s_min=2..10"')
     args = parser.parse_args(argv)

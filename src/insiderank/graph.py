@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .features import read_nodes_csv
+from .features import _is_internal, read_nodes_csv
 from .ingest import EmailPayload, LogEvent, OrgDirectory, RejectReport
 
 __all__ = [
@@ -33,15 +33,6 @@ __all__ = [
     "read_edges_csv",
     "write_edges_csv",
 ]
-
-
-def _is_internal(address: str, internal_domain: str) -> bool:
-    address = address.lower()
-    if "@" not in address:
-        return False
-    domain = address.rsplit("@", 1)[1]
-    suffix = internal_domain.lower()
-    return domain == suffix or domain.endswith("." + suffix)
 
 
 class AttributedGraph:

@@ -441,7 +441,7 @@ def test_criterion_6_synthetic_detection():
         grasp_iterations=2000, rng_seed=42,
     )
     result = grasp_cluster(graph, params, threads=2)
-    cents = compute_centralities(graph, threads=2)
+    cents = compute_centralities(graph)
     table = compute_scores(result, cents, graph)
     auc = roc_auc(dict(zip(graph.user_ids, table.score(1))), truth).auc
     elapsed = time.perf_counter() - start
@@ -485,7 +485,7 @@ def test_criterion_7_cert_r42_reproduction():
     params = ClusterParams(n_min=3, s_min=8, gamma_min=0.5, w=0.1,
                            grasp_iterations=2000, rng_seed=0)
     result = grasp_cluster(graph, params, threads=threads)
-    cents = compute_centralities(graph, threads=threads)
+    cents = compute_centralities(graph)
     table = compute_scores(result, cents, graph)
     truth = load_ground_truth(truth_path)
     auc = roc_auc(dict(zip(graph.user_ids, table.score(1))), truth).auc

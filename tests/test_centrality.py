@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from insiderank.centrality import (
+    _BLOCK,
     NonConvergenceError,
     betweenness_centrality,
     compute_centralities,
@@ -213,13 +214,54 @@ def test_betweenness_matches_path_enumeration():
         assert np.allclose(approx, oracle, rtol=1e-12, atol=1e-12)
 
 
-def test_betweenness_thread_count_invariance():
-    rng = np.random.default_rng(5)
-    g = random_graph(rng, 14, 0.4)
-    seq = betweenness_centrality(g)
-    for threads in (2, 4):
-        par = betweenness_centrality(g, threads=threads)
-        assert par.tolist() == seq.tolist()
+def multi_component_graph(rng, sizes, n_isolated):
+    """Sparse random components plus isolated vertices, labels shuffled so
+    every component spans several source blocks."""
+    edges, offset = [], 0
+    for size in sizes:
+        p = 4.0 / size
+        edges += [(offset + u, offset + v)
+                  for u, v in itertools.combinations(range(size), 2) if rng.random() < p]
+        offset += size
+    n = offset + n_isolated
+    perm = rng.permutation(n)
+    return make_graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+def test_betweenness_beyond_one_block_matches_exact():
+    rng = np.random.default_rng(41)
+    for sizes, n_isolated in (([90, 60, 30], 7), ([150, 40], 3), ([100, 100, 70, 5], 11)):
+        g = multi_component_graph(rng, sizes, n_isolated)
+        assert g.n_vertices > _BLOCK and g.n_vertices % _BLOCK != 0
+        exact = betweenness_centrality(g, exact=True)
+        approx = betweenness_centrality(g)
+        assert np.allclose(approx, exact, rtol=1e-12, atol=1e-12)
+
+
+def test_betweenness_deterministic():
+    g = multi_component_graph(np.random.default_rng(5), [120, 80], 4)
+    first = betweenness_centrality(g)
+    assert betweenness_centrality(g).tolist() == first.tolist()
+
+
+def stacked_diamonds(k, width):
+    """k diamonds in a chain: width**k shortest paths between the ends."""
+    edges = []
+    for i in range(k):
+        top, bottom = i * (width + 1), (i + 1) * (width + 1)
+        for j in range(1, width + 1):
+            edges += [(top, top + j), (top + j, bottom)]
+    return make_graph(k * (width + 1) + 1, edges)
+
+
+def test_betweenness_path_counts_beyond_float_precision():
+    # 2**54 and 3**34 shortest paths end to end, past float64's exact
+    # integers: the float path must hand both graphs to the exact path
+    for k, width in ((54, 2), (34, 3)):
+        g = stacked_diamonds(k, width)
+        assert width**k > 2**53
+        exact = betweenness_centrality(g, exact=True)
+        assert betweenness_centrality(g).tolist() == exact.tolist()
 
 
 def test_relabeling_invariance():

@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+import insiderank.cli as cli
 from insiderank.cli import _case_label, _grid_cases, main
 
 SPEED_KEYS = dict(
@@ -129,6 +130,26 @@ def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):
         case = out / "cases" / label
         for name in ("clusters.jsonl", "scores.csv", "roc.1.csv", "auc_summary.csv"):
             assert (case / name).exists(), (label, name)
+
+
+def test_grid_pipeline_shares_graph_and_centralities(tmp_path, corpus, monkeypatch):
+    calls = {"load_graph": 0, "compute_centralities": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"))
+    assert main(["pipeline", "--config", config, "--grid", "n_min=3,4"]) == 0
+    assert calls == {"load_graph": 1, "compute_centralities": 1}
+    cases = tmp_path / "out" / "cases"
+    assert (cases / "A" / "centrality.csv").read_bytes() == \
+        (cases / "B" / "centrality.csv").read_bytes()
 
 
 def test_bad_grid_rejected(tmp_path, corpus, capsys):
