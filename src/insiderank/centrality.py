@@ -96,7 +96,7 @@ def eigenvector_centrality(
     if graph.n_edges == 0:
         return np.zeros(n)
 
-    A = graph.adjacency_matrix().astype(np.float64)
+    A = graph.float_adjacency_matrix()
     x = np.full(n, 1.0 / n)
     residual = np.inf
     for _ in range(max_iter):
@@ -216,7 +216,7 @@ def betweenness_centrality(graph: AttributedGraph, *, exact: bool = False) -> np
     if exact:
         return _exact_betweenness(graph)
     n = graph.n_vertices
-    adjacency = graph.adjacency_matrix().astype(np.float64)
+    adjacency = graph.float_adjacency_matrix()
     totals = np.zeros(n)
     for start in range(0, n, _BLOCK):
         delta = _block_dependencies(adjacency, np.arange(start, min(start + _BLOCK, n)))

@@ -423,7 +423,10 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
         result = grasp_cluster(graph, params, threads=int(cfg["threads"]))
     write_clusters_jsonl(out / "clusters.jsonl", result, graph)
     manifest.add_output(out / "clusters.jsonl")
-    manifest.data.setdefault("stats", {})[f"clusters:{out.name}"] = len(result.clusters)
+    stats = manifest.data.setdefault("stats", {})
+    stats[f"clusters:{out.name}"] = len(result.clusters)
+    if result.stats:
+        stats[f"grasp:{out.name}"] = result.stats
     print(f"cluster: {len(result.clusters)} clusters "
           f"(c_max={result.c_max}, s_max={result.s_max})")
 

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -103,6 +103,8 @@ class TwofoldCluster:
 class ClusteringResult:
     clusters: list[TwofoldCluster]
     params: ClusterParams
+    # search counters (GRASP only); not part of the result's identity
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def c_max(self) -> int:
@@ -137,7 +139,7 @@ def max_subspace(members: Sequence[int], attrs: np.ndarray, w: float) -> tuple[i
     """All attribute columns whose value range over ``members`` is at most ``w``."""
     rows = attrs[list(members)]
     widths = rows.max(axis=0) - rows.min(axis=0)
-    return tuple(int(j) for j in np.flatnonzero(widths <= w))
+    return tuple(np.flatnonzero(widths <= w).tolist())
 
 
 def quality(members, subspace, gamma: float, params: ClusterParams) -> float:
@@ -250,10 +252,17 @@ class _GraspContext:
         self.attrs = graph.attributes
         self.n = graph.n_vertices
         self.adj_matrix = graph.adjacency_matrix()
-        self.neighbor_arrays = [
-            np.fromiter(sorted(a), dtype=np.int64) if a else np.empty(0, dtype=np.int64)
-            for a in graph.adjacency
-        ]
+        self.degrees = graph.degrees()
+        # A column whose global span is within w is within w on every vertex
+        # set, so it belongs to every subspace: growth counts such columns
+        # once and follows only the variable ones.
+        if self.n:
+            span = self.attrs.max(axis=0) - self.attrs.min(axis=0)
+        else:
+            span = np.zeros(self.attrs.shape[1])
+        always = span <= params.w
+        self.n_const = int(always.sum())
+        self.var_attrs = np.ascontiguousarray(self.attrs[:, ~always])
         # Seed pool: edges whose endpoint pair is itself coherent in at least
         # s_min attributes.  Any cluster containing both endpoints has a
         # subspace no larger than the pair's, so other edges cannot seed a
@@ -274,62 +283,118 @@ class _GraspContext:
             self.seed_probs = np.empty(0)
 
 
-def _grow(ctx: _GraspContext, rng: np.random.Generator) -> set[int] | None:
-    """Randomized greedy construction; returns the best valid vertex set
-    seen along the growth path, or None if no grown set was valid."""
+# Relative slack on the growth bound, far above the rounding of the few
+# products and powers behind it, so the early stop can only cut snapshots
+# that lose by a real margin.
+_BOUND_SLACK = 1e-9
+
+
+def _growth_bound(size: int, s_size: int, reach: int, n_open: int, p: ClusterParams) -> float:
+    """Upper bound on the quality of any snapshot after the current one.
+
+    Later snapshots have ``k`` members with ``max(size + 1, n_min) <= k <=
+    size + n_open``, at most ``s_size`` subspace columns, and a minimum
+    in-degree of at most ``reach`` (no current member can gain more
+    neighbours than that) and at most ``k - 1``; validity needs
+    ``required_degree(k) <= reach``.  Quality is non-decreasing in k while
+    ``k - 1 <= reach`` and ``k**a * (reach / (k-1))**c`` is quasi-convex
+    beyond, so its maximum over the range sits at an end or at
+    ``k = reach + 1``.
+    """
+    lo = max(size + 1, p.n_min)
+    hi = size + n_open
+    if required_degree(hi, p.gamma_min) > reach:
+        # the degree test caps k within one of reach / gamma_min + 1
+        hi = min(hi, int(reach / p.gamma_min) + 2)
+        while hi >= lo and required_degree(hi, p.gamma_min) > reach:
+            hi -= 1
+    if hi < lo:
+        return -math.inf
+    ks = {lo, min(max(reach + 1, lo), hi), hi}
+    return max(quality(k, s_size, min(reach, k - 1) / (k - 1), p) for k in ks)
+
+
+def _grow(ctx: _GraspContext, rng: np.random.Generator) -> tuple[set[int] | None, int]:
+    """Randomized greedy construction.
+
+    Returns the best valid vertex set seen along the growth path (None if
+    no grown set was valid) and the number of vertices added.  Each step
+    scores every candidate by the quality of the set it would make and
+    draws from the restricted candidate list.  The bookkeeping is
+    incremental: a column that leaves the subspace never returns, so only
+    live variable columns are tracked; a candidate's new minimum member
+    degree is ``d_min + 1`` exactly when it is adjacent to every member at
+    ``d_min``; and growth stops once :func:`_growth_bound` says no later
+    snapshot can beat the best one.
+    """
     p = ctx.params
-    attrs, adj = ctx.attrs, ctx.adj_matrix
+    adj, var = ctx.adj_matrix, ctx.var_attrs
 
     seed_idx = int(rng.choice(len(ctx.seed_edges), p=ctx.seed_probs))
     u, v = ctx.seed_edges[seed_idx]
 
-    members: list[int] = [u, v]
-    in_members = np.zeros(ctx.n, dtype=bool)
-    in_members[u] = in_members[v] = True
-    cur_min = np.minimum(attrs[u], attrs[v])
-    cur_max = np.maximum(attrs[u], attrs[v])
+    members = np.empty(ctx.n, dtype=np.int64)
+    members[:2] = u, v
+    size = 2
     deg_in = adj[u].astype(np.int64) + adj[v]
-    discarded = np.zeros(ctx.n, dtype=bool)
-    candidates = set(ctx.graph.adjacency[u] | ctx.graph.adjacency[v]) - {u, v}
+    # full degree minus discarded neighbours: the most any member can reach
+    reach = ctx.degrees.copy()
+    closed = np.zeros(ctx.n, dtype=bool)  # members and discarded vertices
+    closed[[u, v]] = True
+    n_closed = 2
+    candidates = (adj[u] | adj[v]) & ~closed
+    cur_min = np.minimum(var[u], var[v])
+    cur_max = np.maximum(var[u], var[v])
+    live = np.flatnonzero(cur_max - cur_min <= p.w)
+    cur_min, cur_max = cur_min[live], cur_max[live]
 
     best_members: set[int] | None = None
     best_quality = -math.inf
 
     def snapshot_if_valid() -> None:
         nonlocal best_members, best_quality
-        size = len(members)
         if size < p.n_min:
             return
-        min_deg = int(deg_in[members].min())
+        min_deg = int(deg_in[members[:size]].min())
         if min_deg < required_degree(size, p.gamma_min):
             return
-        s_size = int(((cur_max - cur_min) <= p.w).sum())
+        s_size = ctx.n_const + live.size
         if s_size < p.s_min:
             return
         q = quality(size, s_size, min_deg / (size - 1), p)
         if q > best_quality:
             best_quality = q
-            best_members = set(members)
+            best_members = set(members[:size].tolist())
 
     snapshot_if_valid()
-    while candidates:
-        cand = np.fromiter(sorted(candidates), dtype=np.int64)
-        rows = attrs[cand]
-        new_min = np.minimum(cur_min, rows)
-        new_max = np.maximum(cur_max, rows)
-        s_sizes = ((new_max - new_min) <= p.w).sum(axis=1)
+    while True:
+        if best_members is not None:
+            bound = _growth_bound(size, ctx.n_const + live.size, int(reach[members[:size]].min()),
+                                  ctx.n - n_closed, p)
+            if bound * (1.0 + _BOUND_SLACK) < best_quality:
+                break
+        cand = np.flatnonzero(candidates)
+        if not cand.size:
+            break
+        rows = var[cand[:, None], live]
+        widths = np.maximum(cur_max, rows) - np.minimum(cur_min, rows)
+        s_sizes = ctx.n_const + (widths <= p.w).sum(axis=1)
         feasible = s_sizes >= p.s_min
         if not feasible.any():
             break
-        dropped = cand[~feasible]
-        discarded[dropped] = True
-        candidates.difference_update(int(x) for x in dropped)
-        cand = cand[feasible]
-        s_sizes = s_sizes[feasible]
+        if not feasible.all():
+            dropped = cand[~feasible]
+            candidates[dropped] = False
+            closed[dropped] = True
+            n_closed += dropped.size
+            reach -= adj[dropped].sum(axis=0)
+            cand = cand[feasible]
+            s_sizes = s_sizes[feasible]
 
-        size = len(members)
-        member_degs = deg_in[members]
-        min_member_deg = (member_degs[:, None] + adj[np.ix_(members, cand)]).min(axis=0)
+        member_degs = deg_in[members[:size]]
+        d_min = member_degs.min()
+        at_min = members[:size][member_degs == d_min]
+        min_member_deg = d_min + adj[at_min[:, None], cand].all(axis=0)
         min_deg = np.minimum(min_member_deg, deg_in[cand])
         gammas = min_deg / size  # new size minus one equals current size
         quals = ((size + 1) ** p.a_exp) * (s_sizes.astype(np.float64) ** p.b_exp) * (gammas ** p.c_exp)
@@ -340,23 +405,25 @@ def _grow(ctx: _GraspContext, rng: np.random.Generator) -> set[int] | None:
         rcl = cand[quals >= threshold]
         chosen = int(rcl[rng.integers(len(rcl))])
 
-        members.append(chosen)
-        in_members[chosen] = True
-        cur_min = np.minimum(cur_min, attrs[chosen])
-        cur_max = np.maximum(cur_max, attrs[chosen])
-        neigh = ctx.neighbor_arrays[chosen]
-        deg_in[neigh] += 1
-        candidates.discard(chosen)
-        for x in neigh:
-            xi = int(x)
-            if not in_members[xi] and not discarded[xi]:
-                candidates.add(xi)
+        members[size] = chosen
+        size += 1
+        closed[chosen] = True
+        n_closed += 1
+        candidates[chosen] = False
+        candidates |= adj[chosen] & ~closed
+        deg_in += adj[chosen]
+        row = var[chosen, live]
+        cur_min = np.minimum(cur_min, row)
+        cur_max = np.maximum(cur_max, row)
+        inside = cur_max - cur_min <= p.w
+        if not inside.all():
+            live, cur_min, cur_max = live[inside], cur_min[inside], cur_max[inside]
         snapshot_if_valid()
 
-    return best_members
+    return best_members, size - 2
 
 
-def _local_search(ctx: _GraspContext, members: set[int]) -> TwofoldCluster:
+def _local_search(ctx: _GraspContext, members: set[int]) -> tuple[TwofoldCluster, int]:
     """First-improvement hill climb with add, remove and swap moves.
 
     Moves are scanned in a fixed order (ascending vertex index; swaps by
@@ -364,9 +431,10 @@ def _local_search(ctx: _GraspContext, members: set[int]) -> TwofoldCluster:
     valid cluster of strictly higher quality, so the climb is deterministic
     and terminates.  Candidate moves are pre-filtered with vectorized
     quality bounds; full validation runs only on improving candidates.
+    Returns the final cluster and the number of moves taken.
     """
     p = ctx.params
-    graph, attrs, adj = ctx.graph, ctx.attrs, ctx.adj_matrix
+    graph, var, adj = ctx.graph, ctx.var_attrs, ctx.adj_matrix
     current = _evaluate(graph, set(members), p)
     assert current is not None
 
@@ -376,13 +444,19 @@ def _local_search(ctx: _GraspContext, members: set[int]) -> TwofoldCluster:
         """Candidates x where base+{x} passes size/degree/width bounds and
         beats cur_q; connectivity is left to the caller."""
         k = base.size + 1  # size after adding x
-        rows_b = attrs[base]
+        # only variable columns inside base's subspace can stay inside it
+        rows_b = var[base]
         b_min = rows_b.min(axis=0)
         b_max = rows_b.max(axis=0)
-        rows_c = attrs[cand]
-        s_sizes = ((np.maximum(b_max, rows_c) - np.minimum(b_min, rows_c)) <= p.w).sum(axis=1)
+        live = np.flatnonzero(b_max - b_min <= p.w)
+        rows_c = var[cand[:, None], live]
+        widths = np.maximum(b_max[live], rows_c) - np.minimum(b_min[live], rows_c)
+        s_sizes = ctx.n_const + (widths <= p.w).sum(axis=1)
+        # a candidate lifts the minimum member degree only if it is adjacent
+        # to every member at that minimum
         mdeg = deg_base[base]
-        min_member = (mdeg[:, None] + adj[np.ix_(base, cand)]).min(axis=0)
+        d_min = mdeg.min()
+        min_member = d_min + adj[base[mdeg == d_min][:, None], cand].all(axis=0)
         min_deg = np.minimum(min_member, deg_base[cand])
         gammas = min_deg / (k - 1)
         quals = (k ** p.a_exp) * (s_sizes.astype(np.float64) ** p.b_exp) * (gammas ** p.c_exp)
@@ -395,8 +469,10 @@ def _local_search(ctx: _GraspContext, members: set[int]) -> TwofoldCluster:
             ok &= False
         return cand[ok]
 
+    moves = -1  # every pass but the last takes one move
     improved = True
     while improved:
+        moves += 1
         improved = False
         mem = np.fromiter(current.members, dtype=np.int64)
         in_cur = np.zeros(ctx.n, dtype=bool)
@@ -445,15 +521,18 @@ def _local_search(ctx: _GraspContext, members: set[int]) -> TwofoldCluster:
                     break
             if improved:
                 break
-    return current
+    return current, moves
 
 
-def _grasp_round(ctx: _GraspContext, iteration: int) -> TwofoldCluster | None:
+def _grasp_round(ctx: _GraspContext, iteration: int) -> tuple[TwofoldCluster | None, int, int]:
+    """One round's cluster (None if growth found no valid set), growth steps
+    and local-search moves."""
     rng = np.random.default_rng((ctx.params.rng_seed, iteration))
-    grown = _grow(ctx, rng)
+    grown, steps = _grow(ctx, rng)
     if grown is None:
-        return None
-    return _local_search(ctx, grown)
+        return None, steps, 0
+    cluster, moves = _local_search(ctx, grown)
+    return cluster, steps, moves
 
 
 def grasp_cluster(
@@ -481,12 +560,21 @@ def grasp_cluster(
 
     seen: set[tuple[int, ...]] = set()
     ordered: list[TwofoldCluster] = []
-    for cluster in found:
+    for cluster, _, _ in found:
         if cluster is None or cluster.members in seen:
             continue
         seen.add(cluster.members)
         ordered.append(cluster)
-    return ClusteringResult(prune_redundant(ordered, params.r_obj, params.r_dim), params)
+    admitted = prune_redundant(ordered, params.r_obj, params.r_dim)
+    stats = {
+        "rounds": len(found),
+        "valid_rounds": sum(cluster is not None for cluster, _, _ in found),
+        "unique_clusters": len(ordered),
+        "admitted_clusters": len(admitted),
+        "growth_steps": sum(steps for _, steps, _ in found),
+        "local_search_moves": sum(moves for _, _, moves in found),
+    }
+    return ClusteringResult(admitted, params, stats)
 
 
 def write_clusters_jsonl(path: str | Path, result: ClusteringResult, graph: AttributedGraph) -> None:
@@ -514,21 +602,44 @@ def write_clusters_jsonl(path: str | Path, result: ClusteringResult, graph: Attr
 
 
 def read_clusters_jsonl(path: str | Path, graph: AttributedGraph) -> ClusteringResult:
+    """Read a file written by :func:`write_clusters_jsonl` against ``graph``.
+
+    Raises ValueError naming the file and line for malformed JSON, missing
+    keys, bad parameters, and members or subspace names that ``graph`` does
+    not have (a stale or edited file).
+    """
     name_index = {name: j for j, name in enumerate(graph.attribute_names)}
+
+    def lookup(table: dict[str, int], key, what: str) -> int:
+        if not isinstance(key, str) or key not in table:
+            raise ValueError(f"unknown {what} {key!r}")
+        return table[key]
+
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
+        lines = [(no, line) for no, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: missing cluster header line")
-    header, rows = lines[0], lines[1:]
-    params = ClusterParams(**header["params"])
+    params = None
     clusters = []
-    for row in rows:
-        clusters.append(
-            TwofoldCluster(
-                members=tuple(sorted(graph.index[u] for u in row["members"])),
-                subspace=tuple(sorted(name_index[s] for s in row["subspace"])),
-                gamma=float(row["gamma"]),
-                quality=float(row["quality"]),
+    for no, line in lines:
+        where = f"{path}:{no}"
+        try:
+            record = json.loads(line)
+            if params is None:
+                params = ClusterParams(**record["params"])
+                continue
+            clusters.append(
+                TwofoldCluster(
+                    members=tuple(sorted(lookup(graph.index, u, "member")
+                                         for u in record["members"])),
+                    subspace=tuple(sorted(lookup(name_index, s, "subspace attribute")
+                                          for s in record["subspace"])),
+                    gamma=float(record["gamma"]),
+                    quality=float(record["quality"]),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ValueError(f"{where}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return ClusteringResult(clusters, params)

@@ -73,6 +73,7 @@ class AttributedGraph:
             adjacency[v].add(u)
         self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adjacency)
         self._matrix: np.ndarray | None = None
+        self._float_matrix: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -99,6 +100,13 @@ class AttributedGraph:
                 m[u, v] = m[v, u] = True
             self._matrix = m
         return self._matrix
+
+    def float_adjacency_matrix(self) -> np.ndarray:
+        """Dense float64 adjacency for matrix products; cached after the
+        first call, so eigenvector and betweenness centrality share one."""
+        if self._float_matrix is None:
+            self._float_matrix = self.adjacency_matrix().astype(np.float64)
+        return self._float_matrix
 
 
 def build_graph(

@@ -244,6 +244,22 @@ def test_betweenness_deterministic():
     assert betweenness_centrality(g).tolist() == first.tolist()
 
 
+def test_centralities_convert_adjacency_once(monkeypatch):
+    def fresh():
+        return random_graph(np.random.default_rng(8), 60, 0.1)
+
+    want_ec, want_bc = eigenvector_centrality(fresh()), betweenness_centrality(fresh())
+    graph = fresh()
+    calls = []
+    real = AttributedGraph.adjacency_matrix
+    monkeypatch.setattr(AttributedGraph, "adjacency_matrix",
+                        lambda self: calls.append(self) or real(self))
+    table = compute_centralities(graph)
+    assert len(calls) == 1
+    assert table.eigenvector.tobytes() == want_ec.tobytes()
+    assert table.betweenness.tobytes() == want_bc.tobytes()
+
+
 def stacked_diamonds(k, width):
     """k diamonds in a chain: width**k shortest paths between the ends."""
     edges = []

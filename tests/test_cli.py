@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,27 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path, corpus):
         assert (out3 / name).read_bytes() == reference, name
 
 
+def test_stale_clusters_artifact_diagnostic(tmp_path, corpus):
+    out, config = run_pipeline(tmp_path, corpus)
+    header, first, *rest = (out / "clusters.jsonl").read_text().splitlines()
+    row = json.loads(first)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    edits = {
+        "unknown member": dict(row, members=["NOSUCHUSER", *row["members"][1:]]),
+        "unknown subspace attribute": dict(row, subspace=["no_such_attr"]),
+        "missing key": {k: v for k, v in row.items() if k != "members"},
+    }
+    for message, record in edits.items():
+        lines = [header, json.dumps(record), *rest]
+        (out / "clusters.jsonl").write_text("\n".join(lines) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "insiderank.cli", "rank", "--config", config],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: invalid inputs: "), proc.stderr
+        assert "clusters.jsonl:2: " + message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_env_var_overrides_output_dir(tmp_path, corpus, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("INSIDERANK_OUT", str(env_out))
@@ -221,6 +246,11 @@ def test_manifest_records_run(tmp_path, corpus):
     assert any(path.endswith("logon.csv") for path in inputs)
     assert all(len(digest) == 64 for digest in inputs.values())
     assert any(path.endswith("scores.csv") for path in manifest["outputs"])
+    grasp = manifest["stats"]["grasp:out"]
+    assert grasp["rounds"] == SPEED_KEYS["grasp_iterations"]
+    assert grasp["rounds"] >= grasp["valid_rounds"] >= grasp["unique_clusters"]
+    assert grasp["unique_clusters"] >= grasp["admitted_clusters"] == manifest["stats"]["clusters:out"]
+    assert grasp["growth_steps"] > 0 and grasp["local_search_moves"] >= 0
 
 
 def test_case_labels_and_grid_order():

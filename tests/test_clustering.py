@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -445,3 +446,29 @@ def test_result_memberships_and_jsonl_roundtrip(tmp_path):
     back = read_clusters_jsonl(path, graph)
     assert back.params == params
     assert back.clusters == result.clusters
+
+
+def test_read_clusters_jsonl_rejects_stale_or_edited_files(tmp_path):
+    graph, _ = planted_clique_graph()
+    params = ClusterParams(n_min=3, s_min=4, w=0.05, grasp_iterations=40)
+    path = tmp_path / "clusters.jsonl"
+    write_clusters_jsonl(path, grasp_cluster(graph, params), graph)
+    header, first, *rest = path.read_text().splitlines()
+    row = json.loads(first)
+
+    def edited(lines, match):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_clusters_jsonl(path, graph)
+
+    renamed = dict(row, members=["NOSUCHUSER", *row["members"][1:]])
+    edited([header, json.dumps(renamed), *rest], r"clusters.jsonl:2: unknown member 'NOSUCHUSER'")
+    renamed = dict(row, subspace=[*row["subspace"][:-1], "no_such_attr"])
+    edited([header, *rest, json.dumps(renamed)], rf"clusters.jsonl:{len(rest) + 2}: unknown subspace")
+    edited([header, json.dumps({k: v for k, v in row.items() if k != "gamma"})],
+           r"clusters.jsonl:2: missing key 'gamma'")
+    edited([json.dumps({"n_clusters": 0})], r"clusters.jsonl:1: missing key 'params'")
+    bad_params = dict(json.loads(header), params={"no_such_param": 1})
+    edited([json.dumps(bad_params)], r"clusters.jsonl:1: .*no_such_param")
+    edited([header, "", first[:-3]], r"clusters.jsonl:3: ")
+    edited([header, "[1, 2]"], r"clusters.jsonl:2: ")
