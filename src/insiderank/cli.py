@@ -10,14 +10,20 @@ be rerun from its persisted inputs:
     rank      graph + clusters      -> centrality.csv, scores.csv, ranking.<k>.csv
     eval      scores + ground truth -> roc.<k>.csv, distribution.<k>.csv, auc_summary.csv
     synth     nothing               -> a synthetic log corpus with ground truth
-    pipeline  all of the above, optionally over a parameter grid
+    pipeline  ingest to eval, optionally over a parameter grid
+
+Run on its own, features parses the four logs and graph parses email.csv
+again.  The pipeline parses each log once, in ingest, and hands the events
+and rejects to features and graph in memory; the artifacts are the same
+bytes either way.
 
 Configuration is a single flat JSON object; command-line flags override
 config keys, and the INSIDERANK_OUT environment variable overrides the
 output directory.  Every run writes out/manifest.json with the effective
-config, input file hashes, seed and timings.  Artifact files are
-deterministic byte for byte given equal config, inputs and seed; only the
-manifest (timings) varies between reruns.
+config, input file hashes, seed, timings and per-stage stats; a single-stage
+run merges its entries into the manifest already there, a pipeline run
+replaces it.  Artifact files are deterministic byte for byte given equal
+config, inputs and seed; only the manifest (timings) varies between reruns.
 """
 
 from __future__ import annotations
@@ -280,10 +286,27 @@ class Manifest:
     def add_output(self, path: Path) -> None:
         self.data["outputs"].append(str(path))
 
-    def write(self, out: Path) -> None:
+    def write(self, out: Path, *, merge: bool = False) -> None:
+        """Write out/manifest.json.  With ``merge``, the inputs, outputs,
+        timings and stats that earlier runs recorded there are kept, and this
+        run's entries win where keys clash."""
         path = out / "manifest.json"
+        data = self.data
+        if merge:
+            try:
+                old = json.loads(path.read_text())
+            except (OSError, ValueError):
+                old = {}
+            if isinstance(old, dict):
+                data = dict(self.data)
+                for key in ("inputs", "timings", "stats"):
+                    if isinstance(old.get(key), dict):
+                        data[key] = {**old[key], **self.data[key]}
+                if isinstance(old.get("outputs"), list):
+                    earlier = [o for o in old["outputs"] if isinstance(o, str)]
+                    data["outputs"] = list(dict.fromkeys(earlier + self.data["outputs"]))
         with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
+            json.dump(data, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -293,20 +316,24 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
+# Parsed activity logs: the events of each log file present, keyed by file
+# name in _LOG_FILES order, and the rows rejected across those files.
+ParsedLogs = tuple[dict[str, list[LogEvent]], RejectReport]
+
+
 def _load_events(
     cfg,
     manifest: Manifest,
     *,
     kinds: set[str] | None = None,
-    rejects: RejectReport | None = None,
     required: bool = True,
-) -> list[LogEvent]:
+) -> ParsedLogs:
     log_dir = _require(_log_dir(cfg), "log directory")
     known = {name for _, name in _LOG_FILES}
     for stray in sorted(p.name for p in log_dir.glob("*.csv") if p.name not in known):
         _warn(f"skipping unsupported log file: {stray}")
-    events: list[LogEvent] = []
-    found = False
+    events: dict[str, list[LogEvent]] = {}
+    rejects = RejectReport()
     for kind, name in _LOG_FILES:
         if kinds is not None and kind not in kinds:
             continue
@@ -314,12 +341,11 @@ def _load_events(
         if not path.exists():
             continue
         manifest.add_input(path)
-        events.extend(read_log_csv(path, kind, rejects=rejects))
-        found = True
-    if required and not found:
+        events[name] = read_log_csv(path, kind, rejects=rejects)
+    if required and not events:
         wanted = sorted(name for kind, name in _LOG_FILES if kinds is None or kind in kinds)
         raise StageError(f"missing log files: none of {wanted} under {log_dir}")
-    return events
+    return events, rejects
 
 
 def _load_directory(cfg, manifest: Manifest):
@@ -341,7 +367,7 @@ def _load_graph_artifacts(cfg, manifest: Manifest):
     return load_graph(nodes, edges)
 
 
-def stage_ingest(cfg, manifest: Manifest) -> None:
+def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
     out = _out_dir(cfg)
     ldap_dir = _require(_ldap_dir(cfg), "LDAP directory")
     snapshots = sorted(ldap_dir.glob("*.csv"))
@@ -351,40 +377,52 @@ def stage_ingest(cfg, manifest: Manifest) -> None:
         manifest.add_input(snap)
     directory = load_ldap_snapshots(ldap_dir)
 
-    rejects = RejectReport()
-    events = _load_events(cfg, manifest, rejects=rejects)
+    events, rejects = _load_events(cfg, manifest)
     write_directory_csv(out / "directory.csv", directory)
     manifest.add_output(out / "directory.csv")
     rejects.write_csv(out / "rejects.csv")
     manifest.add_output(out / "rejects.csv")
 
     counts: dict[str, int] = {}
-    for e in events:
-        counts[e.kind] = counts.get(e.kind, 0) + 1
-    manifest.data["stats"] = {"users": len(directory), "events": counts, "rejected": len(rejects)}
-    print(f"ingest: {len(directory)} users, {len(events)} events, {len(rejects)} rejected rows")
+    rows = {name: len(file_events) for name, file_events in events.items()}
+    for file_events in events.values():
+        for e in file_events:
+            counts[e.kind] = counts.get(e.kind, 0) + 1
+    for source, _, _ in rejects.rows:
+        rows[source] += 1
+    manifest.data["stats"]["ingest"] = {
+        "users": len(directory), "events": counts, "rows_parsed": rows,
+        "rejected": len(rejects), "rejected_by_reason": rejects.counts_by_class(),
+    }
+    n_events = sum(counts.values())
+    print(f"ingest: {len(directory)} users, {n_events} events, {len(rejects)} rejected rows")
+    return events, rejects
 
 
-def stage_features(cfg, manifest: Manifest) -> None:
+def stage_features(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None:
+    """``logs`` are the pipeline's ingest results; a lone run parses the logs."""
     out = _out_dir(cfg)
     directory = _load_directory(cfg, manifest)
-    rejects = RejectReport()
-    events = _load_events(cfg, manifest, rejects=rejects)
+    events, rejects = logs if logs is not None else _load_events(cfg, manifest)
     vectors = extract_attributes(
-        group_by_user(events), directory, _calendar(cfg),
-        internal_domain=str(cfg["internal_domain"]),
+        group_by_user(itertools.chain.from_iterable(events.values())), directory,
+        _calendar(cfg), internal_domain=str(cfg["internal_domain"]),
     )
     users, matrix = attribute_matrix(vectors)
     write_nodes_csv(out / "nodes.csv", users, matrix)
     write_nodes_csv(out / "nodes.norm.csv", users, normalize_matrix(matrix))
     manifest.add_output(out / "nodes.csv")
     manifest.add_output(out / "nodes.norm.csv")
-    manifest.data["stats"] = {"users": len(users), "attributes": matrix.shape[1],
-                              "rejected": len(rejects)}
+    constant = int((matrix.max(axis=0) == matrix.min(axis=0)).sum()) if users else 0
+    manifest.data["stats"]["features"] = {
+        "users": len(users), "attributes": matrix.shape[1],
+        "constant_columns": constant, "rejected": len(rejects),
+    }
     print(f"features: {len(users)} users x {matrix.shape[1]} attributes")
 
 
-def stage_graph(cfg, manifest: Manifest) -> None:
+def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None:
+    """``logs`` are the pipeline's ingest results; a lone run parses email.csv."""
     out = _out_dir(cfg)
     directory = _load_directory(cfg, manifest)
     nodes_path = _require(out / "nodes.norm.csv", "feature artifacts (run features first)")
@@ -392,8 +430,13 @@ def stage_graph(cfg, manifest: Manifest) -> None:
     users, matrix, names = read_nodes_csv(nodes_path)
     if users != directory.sorted_user_ids():
         raise StageError("graph: nodes.norm.csv users do not match directory.csv")
-    rejects = RejectReport()
-    emails = _load_events(cfg, manifest, kinds={"email"}, rejects=rejects, required=False)
+    if logs is None:
+        logs = _load_events(cfg, manifest, kinds={"email"}, required=False)
+    events, parse_rejects = logs
+    # build_graph numbers its rejects by position among the email events, and
+    # graph_rejects.csv lists the email.csv parse rejects first
+    emails = events.get("email.csv", [])
+    rejects = RejectReport([row for row in parse_rejects.rows if row[0] == "email.csv"])
     graph = build_graph(
         directory, emails, matrix, names,
         internal_domain=str(cfg["internal_domain"]), rejects=rejects,
@@ -402,7 +445,10 @@ def stage_graph(cfg, manifest: Manifest) -> None:
     manifest.add_output(out / "edges.csv")
     rejects.write_csv(out / "graph_rejects.csv")
     manifest.add_output(out / "graph_rejects.csv")
-    manifest.data["stats"] = degree_profile(graph)
+    manifest.data["stats"]["graph"] = {
+        **degree_profile(graph),
+        "rejected": len(rejects), "rejected_by_reason": rejects.counts_by_class(),
+    }
     print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
 
 
@@ -423,7 +469,7 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
         result = grasp_cluster(graph, params, threads=int(cfg["threads"]))
     write_clusters_jsonl(out / "clusters.jsonl", result, graph)
     manifest.add_output(out / "clusters.jsonl")
-    stats = manifest.data.setdefault("stats", {})
+    stats = manifest.data["stats"]
     stats[f"clusters:{out.name}"] = len(result.clusters)
     if result.stats:
         stats[f"grasp:{out.name}"] = result.stats
@@ -501,7 +547,8 @@ def stage_synth(cfg, manifest: Manifest) -> None:
     for name in ("logon.csv", "device.csv", "email.csv", "file.csv",
                  "ldap/2009-12.csv", "ground_truth.txt"):
         manifest.add_output(log_dir / name)
-    manifest.data["stats"] = {"users": len(directory), "days": int(cfg["synth_n_days"])}
+    manifest.data["stats"]["synth"] = {"users": len(directory),
+                                       "days": int(cfg["synth_n_days"])}
     print(f"synth: wrote {len(directory)}-user corpus under {log_dir}")
 
 
@@ -572,9 +619,11 @@ def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
         timings[name] = time.perf_counter() - start
         return value
 
-    timed("ingest", stage_ingest, cfg, manifest)
-    timed("features", stage_features, cfg, manifest)
-    timed("graph", stage_graph, cfg, manifest)
+    # each log is parsed once: features and graph reuse ingest's events
+    logs = timed("ingest", stage_ingest, cfg, manifest)
+    timed("features", stage_features, cfg, manifest, logs)
+    timed("graph", stage_graph, cfg, manifest, logs)
+    del logs
     # neither the graph nor its centralities depend on cluster parameters,
     # so every grid case shares one load and one computation
     graph = _load_graph_artifacts(cfg, manifest)
@@ -647,8 +696,10 @@ def main(argv=None) -> int:
                 "synth": stage_synth,
             }[args.stage]
             runner(cfg, manifest)
+            manifest.data["timings"][args.stage] = time.perf_counter() - start
         manifest.data["timings"]["total"] = time.perf_counter() - start
-        manifest.write(out)
+        # a pipeline run records everything; a single stage adds to earlier runs
+        manifest.write(out, merge=args.stage != "pipeline")
         return 0
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -346,7 +346,7 @@ def read_nodes_csv(path) -> tuple[list[str], np.ndarray, list[str]]:
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "user_id":
             raise ValueError(f"{path}: expected a nodes table starting with user_id")
         names = header[1:]

@@ -20,6 +20,7 @@ LDAP-style directory snapshots (one CSV per month) are merged into an
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -38,12 +39,16 @@ __all__ = [
     "load_directory_csv",
     "load_ldap_snapshots",
     "parse_log_file",
+    "parse_timestamp",
     "read_log_csv",
     "write_directory_csv",
     "write_log_file",
 ]
 
 TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M:%S"
+# The zero-padded ASCII form of TIMESTAMP_FORMAT, read field by field; any
+# other string (unpadded, non-ASCII digits, extra spaces) goes to strptime.
+_FIXED_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 # Event kinds carried by LogEvent.kind.
 EVENT_KINDS = (
@@ -103,6 +108,19 @@ class LogEvent:
     payload: EmailPayload | FilePayload | None = None
 
 
+# Each reject reason starts with a fixed prefix naming its class; manifests
+# count rejects by class.
+_REJECT_CLASSES = (
+    ("expected at least", "short row"),
+    ("bad timestamp", "bad timestamp"),
+    ("empty user", "empty user"),
+    ("unknown activity", "unknown activity"),
+    ("non-integer size", "non-integer size"),
+    ("empty filename", "empty filename"),
+    ("event ", "unresolved address"),  # graph.build_graph
+)
+
+
 @dataclass
 class RejectReport:
     """Rows that failed to parse, with enough context to find them again."""
@@ -114,6 +132,14 @@ class RejectReport:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def counts_by_class(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for _, _, reason in self.rows:
+            label = next((name for prefix, name in _REJECT_CLASSES
+                          if reason.startswith(prefix)), "other")
+            counts[label] = counts.get(label, 0) + 1
+        return counts
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -149,6 +175,16 @@ def _normalize_header(
             f"got {list(raw_header)}"
         )
     return mapping
+
+
+def parse_timestamp(text: str) -> datetime:
+    """``datetime.strptime(text, TIMESTAMP_FORMAT)``, with a fast path for
+    the fixed-width layout; both raise ValueError for the same strings."""
+    fixed = _FIXED_TIMESTAMP.fullmatch(text)
+    if fixed is None:
+        return datetime.strptime(text, TIMESTAMP_FORMAT)
+    month, day, year, hour, minute, second = fixed.groups()
+    return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second))
 
 
 def _split_addresses(value: str) -> tuple[str, ...]:
@@ -192,7 +228,7 @@ def parse_log_file(
             continue
         get = lambda name: row[columns[name]].strip()
         try:
-            timestamp = datetime.strptime(get("date"), TIMESTAMP_FORMAT)
+            timestamp = parse_timestamp(get("date"))
         except ValueError:
             rejects.add(source, line, f"bad timestamp {get('date')!r}")
             continue

@@ -41,6 +41,39 @@ def corpus(tmp_path_factory):
     return root / "corpus"
 
 
+# Rows appended to the synthetic logs: every reject reason, an unpadded
+# timestamp that parses, and an email whose internal recipient resolves to no
+# user, which rejects it for edges only.
+MESSY_ROWS = {
+    "logon.csv": ["L900001,01/05/2010",
+                  "L900002,13/45/2010 08:00:00,U0001,PC-0001,Logon",
+                  "L900003,01/05/2010 08:00:00,,PC-0001,Logon",
+                  "L900004,01/05/2010 08:00:00,U0001,PC-0001,Dance",
+                  "L900005,1/5/2010 8:01:02,U0001,PC-0001,Logon"],
+    "device.csv": ["D900001",
+                   "D900002,01/05/2010 09:00:00,U0002,PC-0002,Eject"],
+    "email.csv": ["M900001,01/05/2010 09:00:00,U0001",
+                  "M900002,01/05/2010 09:10:00,U0001,PC-0001,u0002@dtaa.com,,,"
+                  "u0001@dtaa.com,big,0,",
+                  "M900003,01/05/2010 09:20:00,U0001,PC-0001,ghost@dtaa.com;u0002@dtaa.com,,,"
+                  "u0001@dtaa.com,100,0,",
+                  "M900004,02/30/2010 09:30:00,U0001,PC-0001,u0002@dtaa.com,,,"
+                  "u0001@dtaa.com,100,0,"],
+    "file.csv": ["F900001,01/05/2010 10:00:00,U0003,PC-0003,,",
+                 "F900002,01/05/2010"],
+}
+
+
+@pytest.fixture(scope="module")
+def messy_corpus(corpus, tmp_path_factory):
+    root = tmp_path_factory.mktemp("messy") / "corpus"
+    shutil.copytree(corpus, root)
+    for name, rows in MESSY_ROWS.items():
+        with open(root / name, "a") as fh:
+            fh.write("".join(row + "\r\n" for row in rows))
+    return root
+
+
 def run_pipeline(tmp_path, corpus, name="out", **overrides):
     config = write_config(tmp_path / f"{name}.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / name), **overrides)
@@ -233,8 +266,8 @@ def test_unsupported_logs_warned_and_skipped(tmp_path, corpus, capsys):
     assert "skipping unsupported log file: psychometric.csv" in err
 
 
-def test_manifest_records_run(tmp_path, corpus):
-    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+def test_manifest_records_run(tmp_path, messy_corpus):
+    config = write_config(tmp_path / "cfg.json", log_dir=str(messy_corpus),
                           out_dir=str(tmp_path / "out"))
     assert main(["pipeline", "--config", config, "--seed", "9"]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -251,6 +284,91 @@ def test_manifest_records_run(tmp_path, corpus):
     assert grasp["rounds"] >= grasp["valid_rounds"] >= grasp["unique_clusters"]
     assert grasp["unique_clusters"] >= grasp["admitted_clusters"] == manifest["stats"]["clusters:out"]
     assert grasp["growth_steps"] > 0 and grasp["local_search_moves"] >= 0
+
+    ingest = manifest["stats"]["ingest"]
+    for name in MESSY_ROWS:
+        with open(messy_corpus / name, newline="") as fh:
+            assert ingest["rows_parsed"][name] == len(list(csv.reader(fh))) - 1, name
+    assert ingest["rejected_by_reason"] == {
+        "short row": 4, "bad timestamp": 2, "empty user": 1, "unknown activity": 2,
+        "non-integer size": 1, "empty filename": 1,
+    }
+    assert ingest["rejected"] == 11
+    assert sum(ingest["events"].values()) == sum(ingest["rows_parsed"].values()) - 11
+    with open(tmp_path / "out" / "nodes.csv", newline="") as fh:
+        columns = list(zip(*list(csv.reader(fh))[1:]))[1:]
+    features = manifest["stats"]["features"]
+    assert features["constant_columns"] == sum(len(set(c)) == 1 for c in columns) > 0
+    graph = manifest["stats"]["graph"]
+    assert graph["rejected_by_reason"] == {
+        "short row": 1, "non-integer size": 1, "unresolved address": 1, "bad timestamp": 1,
+    }
+    edges = (tmp_path / "out" / "edges.csv").read_text().splitlines()
+    assert graph["n_edges"] == len(edges) - 1 and graph["n_vertices"] == 14
+
+
+def test_single_stages_keep_earlier_manifest_stats(tmp_path, corpus):
+    out, config = run_pipeline(tmp_path, corpus)
+    for stage in ("cluster", "rank", "eval"):
+        assert main([stage, "--config", config]) == 0, stage
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "eval"
+    stats = manifest["stats"]
+    assert {"ingest", "features", "graph", "grasp:out", "clusters:out"} <= set(stats)
+    assert stats["grasp:out"]["rounds"] == SPEED_KEYS["grasp_iterations"]
+    assert {"ingest", "cluster", "rank", "eval", "total"} <= set(manifest["timings"])
+    assert any(path.endswith("logon.csv") for path in manifest["inputs"])
+    assert any(path.endswith("clusters.jsonl") for path in manifest["inputs"])
+    outputs = manifest["outputs"]
+    assert len(outputs) == len(set(outputs))
+    assert any(path.endswith("directory.csv") for path in outputs)
+
+
+def test_pipeline_parses_each_log_once(tmp_path, messy_corpus, monkeypatch):
+    parsed = []
+
+    def counted(path, kind, **kwargs):
+        parsed.append(Path(path).name)
+        return read_log_csv(path, kind, **kwargs)
+
+    read_log_csv = cli.read_log_csv
+    monkeypatch.setattr(cli, "read_log_csv", counted)
+    run_pipeline(tmp_path, messy_corpus)
+    assert sorted(parsed) == ["device.csv", "email.csv", "file.csv", "logon.csv"]
+
+
+def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
+    piped, config = run_pipeline(tmp_path, messy_corpus, name="piped")
+    staged_config = write_config(tmp_path / "staged.json", log_dir=str(messy_corpus),
+                                 out_dir=str(tmp_path / "staged"))
+    for stage in ("ingest", "features", "graph"):
+        assert main([stage, "--config", staged_config]) == 0, stage
+    for name in ("rejects.csv", "nodes.csv", "nodes.norm.csv", "edges.csv",
+                 "graph_rejects.csv"):
+        assert (piped / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
+    rejects = (piped / "rejects.csv").read_text()
+    for name in MESSY_ROWS:
+        assert name in rejects, name
+    graph_rejects = (piped / "graph_rejects.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in graph_rejects[1:]] == \
+        ["email.csv"] * 3 + ["<email-events>"]
+    assert "M900003" in graph_rejects[-1] and "ghost@dtaa.com" in graph_rejects[-1]
+
+
+def test_empty_nodes_table_diagnostic(tmp_path, corpus):
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"))
+    assert main(["ingest", "--config", config]) == 0
+    (tmp_path / "out" / "nodes.norm.csv").write_text("")
+    (tmp_path / "out" / "edges.csv").write_text("src,dst\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for stage in ("graph", "cluster", "rank"):
+        proc = subprocess.run([sys.executable, "-m", "insiderank.cli", stage, "--config", config],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (stage, proc.stderr)
+        assert proc.stderr.startswith("error:"), (stage, proc.stderr)
+        assert "nodes.norm.csv" in proc.stderr, (stage, proc.stderr)
+        assert "Traceback" not in proc.stderr, (stage, proc.stderr)
 
 
 def test_case_labels_and_grid_order():
