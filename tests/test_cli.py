@@ -326,19 +326,19 @@ def test_single_stages_keep_earlier_manifest_stats(tmp_path, corpus):
 
 def test_pipeline_parses_each_log_once(tmp_path, messy_corpus, monkeypatch):
     parsed = []
+    read_log_csv = cli.read_log_csv
 
     def counted(path, kind, **kwargs):
         parsed.append(Path(path).name)
         return read_log_csv(path, kind, **kwargs)
 
-    read_log_csv = cli.read_log_csv
     monkeypatch.setattr(cli, "read_log_csv", counted)
     run_pipeline(tmp_path, messy_corpus)
     assert sorted(parsed) == ["device.csv", "email.csv", "file.csv", "logon.csv"]
 
 
 def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
-    piped, config = run_pipeline(tmp_path, messy_corpus, name="piped")
+    piped, _ = run_pipeline(tmp_path, messy_corpus, name="piped")
     staged_config = write_config(tmp_path / "staged.json", log_dir=str(messy_corpus),
                                  out_dir=str(tmp_path / "staged"))
     for stage in ("ingest", "features", "graph"):

@@ -266,19 +266,19 @@ _OTHER_DIGITS = "\u0660\u0663\u0669\u0966\u0967\uff10\uff11\uff12"
 
 @st.composite
 def _timestamp_like(draw):
-    """Strings near MM/DD/YYYY HH:MM:SS: padded or not, fields in or out of
-    range, odd separators, and now and then a digit from another script."""
+    """Strings near MM/DD/YYYY HH:MM:SS: fields in and just out of range,
+    mostly zero-padded, now and then an odd separator or a digit from
+    another script."""
     def number(hi, width):
         text = str(draw(st.integers(0, hi)))
-        return text.zfill(width) if draw(st.booleans()) else text
+        return text.zfill(width) if draw(st.integers(0, 5)) else text
 
-    fields = [number(14, 2), number(32, 2), number(10000, 4),
-              number(25, 2), number(61, 2), number(62, 2)]
-    seps = [draw(st.sampled_from(options)) for options in
-            (("/", "-"), ("/", "."), (" ", "  ", "\t", "T"), (":", ";"), (":", "."))]
-    text = fields[0]
-    for sep, value in zip(seps, fields[1:]):
-        text += sep + value
+    fields = [number(13, 2), number(32, 2), number(9999, 4),
+              number(24, 2), number(60, 2), number(61, 2)]
+    seps = ["/", "/", " ", ":", ":"]
+    if draw(st.integers(0, 3)) == 0:
+        seps[draw(st.integers(0, 4))] = draw(st.sampled_from(["-", ".", "", "  ", "\t", "T"]))
+    text = fields[0] + "".join(sep + value for sep, value in zip(seps, fields[1:]))
     if draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(text) - 1))
         if text[at].isdigit():
