@@ -22,8 +22,10 @@ config keys, and the INSIDERANK_OUT environment variable overrides the
 output directory.  Every run writes out/manifest.json with the effective
 config, input file hashes, seed, timings and per-stage stats; a single-stage
 run merges its entries into the manifest already there, a pipeline run
-replaces it.  Artifact files are deterministic byte for byte given equal
-config, inputs and seed; only the manifest (timings) varies between reruns.
+replaces it.  In a merged manifest, stage, config and seed are those of the
+last command and timings.total is the pipeline's.  Artifact files are
+deterministic byte for byte given equal config, inputs and seed; only the
+manifest (timings) varies between reruns.
 """
 
 from __future__ import annotations
@@ -436,7 +438,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
     # build_graph numbers its rejects by position among the email events, and
     # graph_rejects.csv lists the email.csv parse rejects first
     emails = events.get("email.csv", [])
-    rejects = RejectReport([row for row in parse_rejects.rows if row[0] == "email.csv"])
+    rejects = parse_rejects.from_source("email.csv")
     graph = build_graph(
         directory, emails, matrix, names,
         internal_domain=str(cfg["internal_domain"]), rejects=rejects,
@@ -685,6 +687,7 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         if args.stage == "pipeline":
             stage_pipeline(cfg, manifest, args.grid)
+            manifest.data["timings"]["total"] = time.perf_counter() - start
         else:
             runner = {
                 "ingest": stage_ingest,
@@ -696,8 +699,8 @@ def main(argv=None) -> int:
                 "synth": stage_synth,
             }[args.stage]
             runner(cfg, manifest)
+            # "total" stays the time of the pipeline run this merges into
             manifest.data["timings"][args.stage] = time.perf_counter() - start
-        manifest.data["timings"]["total"] = time.perf_counter() - start
         # a pipeline run records everything; a single stage adds to earlier runs
         manifest.write(out, merge=args.stage != "pipeline")
         return 0

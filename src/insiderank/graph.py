@@ -163,6 +163,7 @@ def build_graph(
                 position,
                 f"event {event.event_id!r}: internal address {bad!r} does not "
                 f"resolve to a directory user",
+                "unresolved address",
             )
             continue
         sender_uid = resolved.get(payload.sender)

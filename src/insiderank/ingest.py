@@ -108,37 +108,33 @@ class LogEvent:
     payload: EmailPayload | FilePayload | None = None
 
 
-# Each reject reason starts with a fixed prefix naming its class; manifests
-# count rejects by class.
-_REJECT_CLASSES = (
-    ("expected at least", "short row"),
-    ("bad timestamp", "bad timestamp"),
-    ("empty user", "empty user"),
-    ("unknown activity", "unknown activity"),
-    ("non-integer size", "non-integer size"),
-    ("empty filename", "empty filename"),
-    ("event ", "unresolved address"),  # graph.build_graph
-)
-
-
 @dataclass
 class RejectReport:
-    """Rows that failed to parse, with enough context to find them again."""
+    """Rows that failed to parse, with enough context to find them again.
+
+    Each row also carries a short class label naming the kind of failure
+    (say ``"bad timestamp"``); manifests count rejects by class.
+    """
 
     rows: list[tuple[str, int, str]] = field(default_factory=list)
+    classes: list[str] = field(default_factory=list)
 
-    def add(self, source: str, line: int, reason: str) -> None:
+    def add(self, source: str, line: int, reason: str, cls: str) -> None:
         self.rows.append((source, line, reason))
+        self.classes.append(cls)
 
     def __len__(self) -> int:
         return len(self.rows)
 
+    def from_source(self, source: str) -> RejectReport:
+        """The rejects of one source, in their order here."""
+        keep = [i for i, row in enumerate(self.rows) if row[0] == source]
+        return RejectReport([self.rows[i] for i in keep], [self.classes[i] for i in keep])
+
     def counts_by_class(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for _, _, reason in self.rows:
-            label = next((name for prefix, name in _REJECT_CLASSES
-                          if reason.startswith(prefix)), "other")
-            counts[label] = counts.get(label, 0) + 1
+        for cls in self.classes:
+            counts[cls] = counts.get(cls, 0) + 1
         return counts
 
     def write_csv(self, path: str | Path) -> None:
@@ -224,17 +220,18 @@ def parse_log_file(
         if not row:
             continue
         if len(row) < width:
-            rejects.add(source, line, f"expected at least {width} fields, got {len(row)}")
+            rejects.add(source, line, f"expected at least {width} fields, got {len(row)}",
+                        "short row")
             continue
         get = lambda name: row[columns[name]].strip()
         try:
             timestamp = parse_timestamp(get("date"))
         except ValueError:
-            rejects.add(source, line, f"bad timestamp {get('date')!r}")
+            rejects.add(source, line, f"bad timestamp {get('date')!r}", "bad timestamp")
             continue
         user = get("user")
         if not user:
-            rejects.add(source, line, "empty user")
+            rejects.add(source, line, "empty user", "empty user")
             continue
         event_id = get("id")
         pc = get("pc")
@@ -243,7 +240,8 @@ def parse_log_file(
             activity = get("activity").lower()
             event_kind = _ACTIVITY_KINDS[kind].get(activity)
             if event_kind is None:
-                rejects.add(source, line, f"unknown activity {get('activity')!r}")
+                rejects.add(source, line, f"unknown activity {get('activity')!r}",
+                            "unknown activity")
                 continue
             events.append(LogEvent(event_id, timestamp, user, pc, event_kind))
         elif kind == "email":
@@ -251,7 +249,8 @@ def parse_log_file(
                 size = int(get("size"))
                 attachments = int(get("attachments"))
             except ValueError:
-                rejects.add(source, line, "non-integer size or attachments")
+                rejects.add(source, line, "non-integer size or attachments",
+                            "non-integer size")
                 continue
             payload = EmailPayload(
                 sender=get("from"),
@@ -265,7 +264,7 @@ def parse_log_file(
         else:  # file
             filename = get("filename")
             if not filename:
-                rejects.add(source, line, "empty filename")
+                rejects.add(source, line, "empty filename", "empty filename")
                 continue
             events.append(
                 LogEvent(event_id, timestamp, user, pc, "file_copy", FilePayload(filename))

@@ -309,6 +309,7 @@ def test_manifest_records_run(tmp_path, messy_corpus):
 
 def test_single_stages_keep_earlier_manifest_stats(tmp_path, corpus):
     out, config = run_pipeline(tmp_path, corpus)
+    total = json.loads((out / "manifest.json").read_text())["timings"]["total"]
     for stage in ("cluster", "rank", "eval"):
         assert main([stage, "--config", config]) == 0, stage
     manifest = json.loads((out / "manifest.json").read_text())
@@ -317,6 +318,7 @@ def test_single_stages_keep_earlier_manifest_stats(tmp_path, corpus):
     assert {"ingest", "features", "graph", "grasp:out", "clusters:out"} <= set(stats)
     assert stats["grasp:out"]["rounds"] == SPEED_KEYS["grasp_iterations"]
     assert {"ingest", "cluster", "rank", "eval", "total"} <= set(manifest["timings"])
+    assert manifest["timings"]["total"] == total  # the pipeline's, not the last stage's
     assert any(path.endswith("logon.csv") for path in manifest["inputs"])
     assert any(path.endswith("clusters.jsonl") for path in manifest["inputs"])
     outputs = manifest["outputs"]
