@@ -25,7 +25,7 @@ exact = enumerate_clusters_exact(graph, params, oracle_bound=14)
 t_exact = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-approx = grasp_cluster(graph, params, threads=2)
+approx = grasp_cluster(graph, params)
 t_grasp = time.perf_counter() - t0
 
 

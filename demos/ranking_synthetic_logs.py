@@ -56,7 +56,7 @@ print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
 
 params = ClusterParams(n_min=3, s_min=6, gamma_min=0.5, w=0.06,
                        grasp_iterations=600, rng_seed=23)
-result = grasp_cluster(graph, params, threads=2)
+result = grasp_cluster(graph, params)
 print(f"found {len(result.clusters)} twofold clusters "
       f"(largest {result.c_max} members, widest subspace {result.s_max} dims)")
 

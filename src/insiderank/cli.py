@@ -100,7 +100,9 @@ _LOG_FILES = (("logon", "logon.csv"), ("device", "device.csv"),
               ("email", "email.csv"), ("file", "file.csv"))
 
 # Flat config keys with their defaults; anything else in a config file is an
-# error.  Path keys left null fall back to locations under the output dir.
+# error, and so is a value whose JSON type differs from its default's (see
+# _CONFIG_TYPES).  Path keys left null fall back to locations under the
+# output dir.
 DEFAULTS: dict[str, object] = {
     # paths
     "log_dir": None,
@@ -134,8 +136,6 @@ DEFAULTS: dict[str, object] = {
     # scoring
     "score_variants": [1, 2, 3, 4, 5, 6],
     "centrality_outside_sum": False,
-    # GRASP worker threads
-    "threads": 1,
     # synthetic corpus generation
     "synth_n_users": 40,
     "synth_k_clusters": 3,
@@ -149,6 +149,19 @@ DEFAULTS: dict[str, object] = {
     "synth_width": 0.05,
     "synth_n_outliers": 3,
     "synth_n_days": 20,
+}
+
+
+# The types a config value may have, by the type of its default, and how a
+# diagnostic names them.  A null default marks an optional path.  bool is a
+# subclass of int, so booleans are refused wherever a number is expected.
+_CONFIG_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
+    type(None): ((str, type(None)), "a string or null"),
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
 }
 
 
@@ -180,12 +193,15 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
     if env_out:
         cfg["out_dir"] = env_out
 
+    for key, default in DEFAULTS.items():
+        allowed, expected = _CONFIG_TYPES[type(default)]
+        value = cfg[key]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            raise StageError(f"invalid config: {key} must be {expected}, got {json.dumps(value)}")
     variants = cfg["score_variants"]
-    if not (isinstance(variants, list) and variants
-            and all(isinstance(v, int) and 1 <= v <= N_VARIANTS for v in variants)):
+    if not (variants and all(isinstance(v, int) and not isinstance(v, bool)
+                             and 1 <= v <= N_VARIANTS for v in variants)):
         raise StageError(f"invalid config: score_variants must be a list drawn from 1..{N_VARIANTS}")
-    if not (isinstance(cfg["threads"], int) and cfg["threads"] >= 1):
-        raise StageError("invalid config: threads must be a positive integer")
     return cfg
 
 
@@ -468,7 +484,7 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
     if cfg["use_exact"]:
         result = enumerate_clusters_exact(graph, params, oracle_bound=int(cfg["oracle_bound"]))
     else:
-        result = grasp_cluster(graph, params, threads=int(cfg["threads"]))
+        result = grasp_cluster(graph, params)
     write_clusters_jsonl(out / "clusters.jsonl", result, graph)
     manifest.add_output(out / "clusters.jsonl")
     stats = manifest.data["stats"]
@@ -662,8 +678,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", metavar="PATH", help="flat JSON config file")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the rng_seed config key")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="GRASP worker thread cap (does not affect results)")
     parser.add_argument("--grid", metavar="SPEC",
                         help='parameter sweep for pipeline, e.g. "n_min=3,4,5;s_min=2..10"')
     args = parser.parse_args(argv)
@@ -674,10 +688,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise StageError("invalid arguments: --seed must be non-negative")
             overrides["rng_seed"] = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise StageError("invalid arguments: --threads must be positive")
-            overrides["threads"] = args.threads
         if args.grid is not None and args.stage != "pipeline":
             raise StageError("invalid arguments: --grid applies to the pipeline stage only")
         cfg = _load_config(args.config, overrides)

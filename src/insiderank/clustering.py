@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -535,28 +534,18 @@ def _grasp_round(ctx: _GraspContext, iteration: int) -> tuple[TwofoldCluster | N
     return cluster, steps, moves
 
 
-def grasp_cluster(
-    graph: AttributedGraph,
-    params: ClusterParams,
-    threads: int = 1,
-) -> ClusteringResult:
+def grasp_cluster(graph: AttributedGraph, params: ClusterParams) -> ClusteringResult:
     """Randomized multi-start search for twofold clusters.
 
-    Each round draws its random stream from ``(rng_seed, round_index)`` and
-    rounds are merged in index order, so the result is identical for any
-    worker count.
+    Rounds run in index order in the calling thread, and each draws its
+    random stream from ``(rng_seed, round_index)``, so the result depends
+    only on the graph and the parameters.
     """
     ctx = _GraspContext(graph, params)
     if not ctx.seed_edges or params.grasp_iterations == 0:
         return ClusteringResult([], params)
 
-    rounds = range(params.grasp_iterations)
-    if threads <= 1:
-        found = [_grasp_round(ctx, it) for it in rounds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, params.grasp_iterations // (8 * threads))
-            found = list(pool.map(lambda it: _grasp_round(ctx, it), rounds, chunksize=chunk))
+    found = [_grasp_round(ctx, it) for it in range(params.grasp_iterations)]
 
     seen: set[tuple[int, ...]] = set()
     ordered: list[TwofoldCluster] = []

@@ -83,12 +83,6 @@ class AttributedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def degrees(self) -> np.ndarray:
         return np.array([len(a) for a in self.adjacency], dtype=np.int64)
 

@@ -81,6 +81,13 @@ def run_pipeline(tmp_path, corpus, name="out", **overrides):
     return tmp_path / name, config
 
 
+def run_cli(*args, cwd=None):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "insiderank.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+
+
 def test_synth_then_pipeline_produces_artifacts(tmp_path, corpus, capsys):
     out, _ = run_pipeline(tmp_path, corpus)
     for name in ("directory.csv", "rejects.csv", "nodes.csv", "nodes.norm.csv",
@@ -154,6 +161,58 @@ def test_invalid_config_diagnostics(tmp_path, capsys):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+def test_config_types_follow_defaults(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    accepted = {"w": 0, "log_dir": str(tmp_path), "ground_truth": None}
+    assert cli._load_config(write_config(tmp_path / "ok.json", out_dir=out, **accepted), {})
+
+    refused = {"n_min": True, "grasp_iterations": 2.5, "w": "0.1", "log_dir": 3,
+               "business_days": "0-4", "score_variants": [True], "out_dir": None}
+    for key, value in refused.items():
+        config = write_config(tmp_path / f"{key}.json", **{"out_dir": out, key: value})
+        assert main(["ingest", "--config", config]) == 1, key
+        assert f"invalid config: {key} must be " in capsys.readouterr().err, key
+
+
+def test_threads_knob_is_gone(tmp_path):
+    config = tmp_path / "threads.json"
+    config.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
+    proc = run_cli("ingest", "--config", str(config), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: invalid config: unknown key(s) ['threads']\n"
+
+    proc = run_cli("ingest", "--threads", "2", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --threads 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def built_out(corpus, tmp_path_factory):
+    """Output directory of one pipeline run over the shared corpus."""
+    out, _ = run_pipeline(tmp_path_factory.mktemp("built"), corpus)
+    return out
+
+
+@pytest.mark.parametrize("stage, key, value", [
+    ("cluster", "n_min", None),
+    ("cluster", "rng_seed", None),
+    ("rank", "eigen_tol", None),
+    ("cluster", "use_exact", "no"),
+])
+def test_mistyped_config_value_is_one_line_error(tmp_path, corpus, built_out, stage, key, value):
+    # the stage's inputs exist, so only the config value can stop it
+    out = tmp_path / "out"
+    shutil.copytree(built_out, out)
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus), out_dir=str(out),
+                          **{key: value})
+    proc = run_cli(stage, "--config", config)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid config: {key} must be "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))
@@ -208,12 +267,14 @@ def test_oracle_bound_diagnostic(tmp_path, corpus, capsys):
     assert "oracle bound exceeded" in capsys.readouterr().err
 
 
-def test_reruns_and_thread_counts_are_byte_identical(tmp_path, corpus):
+def test_reruns_are_byte_identical(tmp_path, corpus):
     out1, _ = run_pipeline(tmp_path, corpus, name="one")
     out2, _ = run_pipeline(tmp_path, corpus, name="two")
+    # a fresh interpreter also draws a fresh string-hash seed
     config3 = write_config(tmp_path / "three.json", log_dir=str(corpus),
                            out_dir=str(tmp_path / "three"))
-    assert main(["pipeline", "--config", config3, "--threads", "3"]) == 0
+    proc = run_cli("pipeline", "--config", config3)
+    assert proc.returncode == 0, proc.stderr
     out3 = tmp_path / "three"
     for name in ("nodes.norm.csv", "edges.csv", "clusters.jsonl", "centrality.csv",
                  "scores.csv", "ranking.1.csv", "auc_summary.csv"):
@@ -226,7 +287,6 @@ def test_stale_clusters_artifact_diagnostic(tmp_path, corpus):
     out, config = run_pipeline(tmp_path, corpus)
     header, first, *rest = (out / "clusters.jsonl").read_text().splitlines()
     row = json.loads(first)
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     edits = {
         "unknown member": dict(row, members=["NOSUCHUSER", *row["members"][1:]]),
         "unknown subspace attribute": dict(row, subspace=["no_such_attr"]),
@@ -235,8 +295,7 @@ def test_stale_clusters_artifact_diagnostic(tmp_path, corpus):
     for message, record in edits.items():
         lines = [header, json.dumps(record), *rest]
         (out / "clusters.jsonl").write_text("\n".join(lines) + "\n")
-        proc = subprocess.run([sys.executable, "-m", "insiderank.cli", "rank", "--config", config],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli("rank", "--config", config)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: invalid inputs: "), proc.stderr
         assert "clusters.jsonl:2: " + message in proc.stderr
