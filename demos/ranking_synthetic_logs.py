@@ -35,40 +35,41 @@ spec = SynthSpec(
     n_outliers=2, rng_seed=23,
 )
 calendar = CalendarConfig()
-out_dir = Path(tempfile.mkdtemp(prefix="demo_logs_"))
-directory = generate_logs(spec, calendar, out_dir, n_days=15)
-print(f"wrote corpus to {out_dir}")
-for path in sorted(out_dir.glob("*.csv")):
-    print(f"  {path.name}: {sum(1 for _ in open(path)) - 1} rows")
+with tempfile.TemporaryDirectory(prefix="demo_logs_") as tmp:
+    out_dir = Path(tmp)
+    directory = generate_logs(spec, calendar, out_dir, n_days=15)
+    print(f"wrote corpus to {out_dir}")
+    for path in sorted(out_dir.glob("*.csv")):
+        print(f"  {path.name}: {sum(1 for _ in open(path)) - 1} rows")
 
-# parse the four activity logs back in
-events = []
-for kind in ("logon", "device", "email", "file"):
-    events.extend(read_log_csv(out_dir / f"{kind}.csv", kind))
-print(f"parsed {len(events)} events for {len(directory.users)} directory users")
+    # parse the four activity logs back in
+    events = []
+    for kind in ("logon", "device", "email", "file"):
+        events.extend(read_log_csv(out_dir / f"{kind}.csv", kind))
+    print(f"parsed {len(events)} events for {len(directory.users)} directory users")
 
-# one 125-dimensional vector per user, min-max normalized per column
-vectors = extract_attributes(group_by_user(events), directory, calendar)
-users, matrix = attribute_matrix(vectors)
-graph = build_graph(directory, [e for e in events if e.kind == "email"],
-                    normalize_matrix(matrix), ATTRIBUTE_NAMES)
-print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
+    # one 125-dimensional vector per user, min-max normalized per column
+    vectors = extract_attributes(group_by_user(events), directory, calendar)
+    users, matrix = attribute_matrix(vectors)
+    graph = build_graph(directory, [e for e in events if e.kind == "email"],
+                        normalize_matrix(matrix), ATTRIBUTE_NAMES)
+    print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
 
-params = ClusterParams(n_min=3, s_min=6, gamma_min=0.5, w=0.06,
-                       grasp_iterations=600, rng_seed=23)
-result = grasp_cluster(graph, params)
-print(f"found {len(result.clusters)} twofold clusters "
-      f"(largest {result.c_max} members, widest subspace {result.s_max} dims)")
+    params = ClusterParams(n_min=3, s_min=6, gamma_min=0.5, w=0.06,
+                           grasp_iterations=600, rng_seed=23)
+    result = grasp_cluster(graph, params)
+    print(f"found {len(result.clusters)} twofold clusters "
+          f"(largest {result.c_max} members, widest subspace {result.s_max} dims)")
 
-table = compute_scores(result, compute_centralities(graph), graph)
-ranking = rank_users(table, variant=1)
-truth = load_ground_truth(out_dir / "ground_truth.txt")
-print("\nmost suspicious first (score_1 ascending):")
-for user in ranking[:6]:
-    i = graph.user_ids.index(user)
-    tag = "  <- planted outlier" if user in truth else ""
-    print(f"  {user}  score_1={table.score(1)[i]:.3f}  "
-          f"in {int(table.memberships[i])} clusters{tag}")
+    table = compute_scores(result, compute_centralities(graph), graph)
+    ranking = rank_users(table, variant=1)
+    truth = load_ground_truth(out_dir / "ground_truth.txt")
+    print("\nmost suspicious first (score_1 ascending):")
+    for user in ranking[:6]:
+        i = graph.user_ids.index(user)
+        tag = "  <- planted outlier" if user in truth else ""
+        print(f"  {user}  score_1={table.score(1)[i]:.3f}  "
+              f"in {int(table.memberships[i])} clusters{tag}")
 
-curve = roc_auc(dict(zip(graph.user_ids, table.score(1))), truth)
-print(f"\nscore_1 AUC against planted truth: {curve.auc:.4f}")
+    curve = roc_auc(dict(zip(graph.user_ids, table.score(1))), truth)
+    print(f"\nscore_1 AUC against planted truth: {curve.auc:.4f}")

@@ -34,12 +34,14 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import fields as dataclass_fields
 from datetime import time as dtime
 from pathlib import Path
+from typing import Callable
 
 from .centrality import (
     CentralityTable,
@@ -49,8 +51,6 @@ from .centrality import (
 )
 from .clustering import (
     ClusterParams,
-    OracleBoundExceeded,
-    enumerate_clusters_exact,
     grasp_cluster,
     read_clusters_jsonl,
     write_clusters_jsonl,
@@ -101,8 +101,7 @@ _LOG_FILES = (("logon", "logon.csv"), ("device", "device.csv"),
 
 # Flat config keys with their defaults; anything else in a config file is an
 # error, and so is a value whose JSON type differs from its default's (see
-# _CONFIG_TYPES).  Path keys left null fall back to locations under the
-# output dir.
+# _typed).  Path keys left null fall back to locations under the output dir.
 DEFAULTS: dict[str, object] = {
     # paths
     "log_dir": None,
@@ -128,8 +127,6 @@ DEFAULTS: dict[str, object] = {
     "rng_seed": 0,
     "grasp_iterations": 2000,
     "rcl_alpha": 0.3,
-    "use_exact": False,
-    "oracle_bound": 14,
     # centrality
     "eigen_tol": 1e-10,
     "eigen_max_iter": 10000,
@@ -152,16 +149,24 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-# The types a config value may have, by the type of its default, and how a
-# diagnostic names them.  A null default marks an optional path.  bool is a
-# subclass of int, so booleans are refused wherever a number is expected.
-_CONFIG_TYPES: dict[type, tuple[tuple[type, ...], str]] = {
-    type(None): ((str, type(None)), "a string or null"),
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-    list: ((list,), "a list"),
+# The cluster search parameters, which --grid may sweep.
+_GRID_KEYS = {f.name for f in dataclass_fields(ClusterParams)}
+
+
+def _is_int(value: object) -> bool:
+    # bool is a subclass of int; booleans are refused wherever a number is expected
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The test a config value must pass, by the type of its default, and how a
+# diagnostic names it.  A null default marks an optional path.
+_CONFIG_TYPES: dict[type, tuple[Callable[[object], bool], str]] = {
+    type(None): (lambda v: v is None or isinstance(v, str), "a string or null"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
 }
 
 
@@ -171,6 +176,16 @@ class StageError(RuntimeError):
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
+
+
+def _typed(key: str, value: object) -> object:
+    """``value`` as config key ``key`` holds it: of its default's type, with
+    a decimal key's integer read as a float.  Raises ValueError otherwise."""
+    kind = type(DEFAULTS[key])
+    accepts, expected = _CONFIG_TYPES[kind]
+    if not accepts(value):
+        raise ValueError(f"{key} must be {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, object]:
@@ -193,35 +208,34 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
     if env_out:
         cfg["out_dir"] = env_out
 
-    for key, default in DEFAULTS.items():
-        allowed, expected = _CONFIG_TYPES[type(default)]
-        value = cfg[key]
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            raise StageError(f"invalid config: {key} must be {expected}, got {json.dumps(value)}")
+    try:
+        for key in DEFAULTS:
+            cfg[key] = _typed(key, cfg[key])
+    except ValueError as exc:
+        raise StageError(f"invalid config: {exc}")
     variants = cfg["score_variants"]
-    if not (variants and all(isinstance(v, int) and not isinstance(v, bool)
-                             and 1 <= v <= N_VARIANTS for v in variants)):
+    if not (variants and all(1 <= v <= N_VARIANTS for v in variants)):
         raise StageError(f"invalid config: score_variants must be a list drawn from 1..{N_VARIANTS}")
     return cfg
 
 
 def _out_dir(cfg) -> Path:
-    out = Path(str(cfg["out_dir"]))
+    out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _log_dir(cfg) -> Path:
-    return Path(str(cfg["log_dir"])) if cfg["log_dir"] else _out_dir(cfg) / "corpus"
+    return Path(cfg["log_dir"]) if cfg["log_dir"] else _out_dir(cfg) / "corpus"
 
 
 def _ldap_dir(cfg) -> Path:
-    return Path(str(cfg["ldap_dir"])) if cfg["ldap_dir"] else _log_dir(cfg) / "ldap"
+    return Path(cfg["ldap_dir"]) if cfg["ldap_dir"] else _log_dir(cfg) / "ldap"
 
 
 def _ground_truth_path(cfg) -> Path | None:
     if cfg["ground_truth"]:
-        return Path(str(cfg["ground_truth"]))
+        return Path(cfg["ground_truth"])
     fallback = _log_dir(cfg) / "ground_truth.txt"
     return fallback if fallback.exists() else None
 
@@ -229,52 +243,36 @@ def _ground_truth_path(cfg) -> Path | None:
 def _calendar(cfg) -> CalendarConfig:
     try:
         return CalendarConfig(
-            bh_start=dtime.fromisoformat(str(cfg["bh_start"])),
-            bh_end=dtime.fromisoformat(str(cfg["bh_end"])),
-            business_days=frozenset(int(d) for d in cfg["business_days"]),
+            bh_start=dtime.fromisoformat(cfg["bh_start"]),
+            bh_end=dtime.fromisoformat(cfg["bh_end"]),
+            business_days=frozenset(cfg["business_days"]),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise StageError(f"invalid config: calendar: {exc}")
 
 
 def _cluster_params(cfg, overrides: dict[str, object] | None = None) -> ClusterParams:
-    values = {
-        "n_min": int(cfg["n_min"]),
-        "s_min": int(cfg["s_min"]),
-        "gamma_min": float(cfg["gamma_min"]),
-        "w": float(cfg["w"]),
-        "a_exp": float(cfg["a_exp"]),
-        "b_exp": float(cfg["b_exp"]),
-        "c_exp": float(cfg["c_exp"]),
-        "r_obj": float(cfg["r_obj"]),
-        "r_dim": float(cfg["r_dim"]),
-        "rng_seed": int(cfg["rng_seed"]),
-        "grasp_iterations": int(cfg["grasp_iterations"]),
-        "rcl_alpha": float(cfg["rcl_alpha"]),
-    }
-    if overrides:
-        values.update(overrides)
     try:
-        return ClusterParams(**values)
-    except (TypeError, ValueError) as exc:
+        return ClusterParams(**{**{k: cfg[k] for k in _GRID_KEYS}, **(overrides or {})})
+    except ValueError as exc:
         raise StageError(f"invalid config: cluster parameters: {exc}")
 
 
 def _synth_spec(cfg) -> SynthSpec:
     try:
         return SynthSpec(
-            n_users=int(cfg["synth_n_users"]),
-            k_clusters=int(cfg["synth_k_clusters"]),
-            size_range=(int(cfg["synth_size_lo"]), int(cfg["synth_size_hi"])),
-            subspace_range=(int(cfg["synth_subspace_lo"]), int(cfg["synth_subspace_hi"])),
-            p_in=float(cfg["synth_p_in"]),
-            p_out=float(cfg["synth_p_out"]),
-            n_attributes=int(cfg["synth_n_attributes"]),
-            width=float(cfg["synth_width"]),
-            n_outliers=int(cfg["synth_n_outliers"]),
-            rng_seed=int(cfg["rng_seed"]),
+            n_users=cfg["synth_n_users"],
+            k_clusters=cfg["synth_k_clusters"],
+            size_range=(cfg["synth_size_lo"], cfg["synth_size_hi"]),
+            subspace_range=(cfg["synth_subspace_lo"], cfg["synth_subspace_hi"]),
+            p_in=cfg["synth_p_in"],
+            p_out=cfg["synth_p_out"],
+            n_attributes=cfg["synth_n_attributes"],
+            width=cfg["synth_width"],
+            n_outliers=cfg["synth_n_outliers"],
+            rng_seed=cfg["rng_seed"],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise StageError(f"invalid config: synth parameters: {exc}")
 
 
@@ -424,7 +422,7 @@ def stage_features(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> N
     events, rejects = logs if logs is not None else _load_events(cfg, manifest)
     vectors = extract_attributes(
         group_by_user(itertools.chain.from_iterable(events.values())), directory,
-        _calendar(cfg), internal_domain=str(cfg["internal_domain"]),
+        _calendar(cfg), internal_domain=cfg["internal_domain"],
     )
     users, matrix = attribute_matrix(vectors)
     write_nodes_csv(out / "nodes.csv", users, matrix)
@@ -457,7 +455,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
     rejects = parse_rejects.from_source("email.csv")
     graph = build_graph(
         directory, emails, matrix, names,
-        internal_domain=str(cfg["internal_domain"]), rejects=rejects,
+        internal_domain=cfg["internal_domain"], rejects=rejects,
     )
     write_edges_csv(out / "edges.csv", graph)
     manifest.add_output(out / "edges.csv")
@@ -472,7 +470,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
 
 def _centralities(cfg, graph: AttributedGraph) -> CentralityTable:
     return compute_centralities(
-        graph, tol=float(cfg["eigen_tol"]), max_iter=int(cfg["eigen_max_iter"]))
+        graph, tol=cfg["eigen_tol"], max_iter=cfg["eigen_max_iter"])
 
 
 def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
@@ -480,11 +478,7 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
     out = case_dir or _out_dir(cfg)
     if graph is None:
         graph = _load_graph_artifacts(cfg, manifest)
-    params = params or _cluster_params(cfg)
-    if cfg["use_exact"]:
-        result = enumerate_clusters_exact(graph, params, oracle_bound=int(cfg["oracle_bound"]))
-    else:
-        result = grasp_cluster(graph, params)
+    result = grasp_cluster(graph, params or _cluster_params(cfg))
     write_clusters_jsonl(out / "clusters.jsonl", result, graph)
     manifest.add_output(out / "clusters.jsonl")
     stats = manifest.data["stats"]
@@ -509,7 +503,7 @@ def stage_rank(cfg, manifest: Manifest, case_dir: Path | None = None,
     write_centrality_csv(out / "centrality.csv", graph, centralities)
     manifest.add_output(out / "centrality.csv")
     table = compute_scores(result, centralities, graph,
-                           centrality_outside_sum=bool(cfg["centrality_outside_sum"]))
+                           centrality_outside_sum=cfg["centrality_outside_sum"])
     write_scores_csv(out / "scores.csv", table)
     manifest.add_output(out / "scores.csv")
     for variant in cfg["score_variants"]:
@@ -559,18 +553,15 @@ def stage_synth(cfg, manifest: Manifest) -> None:
     log_dir = _log_dir(cfg)
     try:
         directory = generate_logs(spec, _calendar(cfg), log_dir,
-                                  n_days=int(cfg["synth_n_days"]))
+                                  n_days=cfg["synth_n_days"])
     except ValueError as exc:
         raise StageError(f"invalid config: synth: {exc}")
     for name in ("logon.csv", "device.csv", "email.csv", "file.csv",
                  "ldap/2009-12.csv", "ground_truth.txt"):
         manifest.add_output(log_dir / name)
     manifest.data["stats"]["synth"] = {"users": len(directory),
-                                       "days": int(cfg["synth_n_days"])}
+                                       "days": cfg["synth_n_days"]}
     print(f"synth: wrote {len(directory)}-user corpus under {log_dir}")
-
-
-_GRID_KEYS = {f.name for f in dataclass_fields(ClusterParams)}
 
 
 def _parse_grid(text: str) -> list[tuple[str, list]]:
@@ -598,7 +589,10 @@ def _parse_grid(text: str) -> list[tuple[str, list]]:
                 tokens = [t.strip() for t in values_text.split(",") if t.strip()]
                 if not tokens:
                     raise ValueError("no values")
-                values = [float(t) if "." in t else int(t) for t in tokens]
+                values = [json.loads(t) for t in tokens]
+            values = [_typed(key, v) for v in values]
+        except json.JSONDecodeError as exc:
+            raise StageError(f"invalid grid: {part!r}: {exc.doc!r} is not a number")
         except ValueError as exc:
             raise StageError(f"invalid grid: {part!r}: {exc}")
         axes.append((key, values))
@@ -630,6 +624,8 @@ def _grid_cases(grid: str | None) -> list[tuple[str, dict[str, object]]]:
 def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
     out = _out_dir(cfg)
     timings = manifest.data["timings"]
+    # a bad grid or cluster parameter stops the run before any stage writes
+    cases = [(label, _cluster_params(cfg, o)) for label, o in _grid_cases(grid)]
 
     def timed(name, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -647,13 +643,11 @@ def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
     graph = _load_graph_artifacts(cfg, manifest)
     centralities = timed("centrality", _centralities, cfg, graph)
 
-    cases = _grid_cases(grid)
     have_truth = _ground_truth_path(cfg) is not None
     if not have_truth:
         print("pipeline: no ground truth configured, skipping eval")
     rows = []
-    for label, overrides in cases:
-        params = _cluster_params(cfg, overrides)
+    for label, params in cases:
         if len(cases) == 1:
             case_dir = out
         else:
@@ -716,9 +710,6 @@ def main(argv=None) -> int:
         return 0
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OracleBoundExceeded as exc:
-        print(f"error: oracle bound exceeded: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:
         print(f"error: eigenvector centrality did not converge: {exc}", file=sys.stderr)

@@ -144,25 +144,15 @@ class RejectReport:
             writer.writerows(self.rows)
 
 
-def _normalize_header(
-    raw_header: Sequence[str],
-    kind: str,
-    column_map: Mapping[str, str] | None,
-) -> dict[str, int]:
-    """Map required column names to their positions in the file header.
-
-    ``column_map`` renames columns before matching (expected name -> actual
-    header name); it is the escape hatch for corpora with divergent headers.
-    """
+def _normalize_header(raw_header: Sequence[str], kind: str) -> dict[str, int]:
+    """Map required column names to their positions in the file header."""
     positions = {name.strip().lower(): i for i, name in enumerate(raw_header)}
     required = _SCHEMAS[kind]
-    remap = {k.lower(): v.lower() for k, v in (column_map or {}).items()}
     mapping: dict[str, int] = {}
     missing: list[str] = []
     for name in required:
-        actual = remap.get(name, name)
-        if actual in positions:
-            mapping[name] = positions[actual]
+        if name in positions:
+            mapping[name] = positions[name]
         else:
             missing.append(name)
     if missing:
@@ -193,7 +183,6 @@ def parse_log_file(
     *,
     source: str = "<stream>",
     rejects: RejectReport | None = None,
-    column_map: Mapping[str, str] | None = None,
 ) -> list[LogEvent]:
     """Parse one activity CSV into LogEvents.
 
@@ -211,7 +200,7 @@ def parse_log_file(
         raw_header = next(reader)
     except StopIteration:
         raise SchemaError(f"{source}: empty file, expected a {kind} header")
-    columns = _normalize_header(raw_header, kind, column_map)
+    columns = _normalize_header(raw_header, kind)
     width = max(columns.values()) + 1
 
     events: list[LogEvent] = []
@@ -277,13 +266,10 @@ def read_log_csv(
     kind: str,
     *,
     rejects: RejectReport | None = None,
-    column_map: Mapping[str, str] | None = None,
 ) -> list[LogEvent]:
     path = Path(path)
     with open(path, newline="") as fh:
-        return parse_log_file(
-            fh, kind, source=path.name, rejects=rejects, column_map=column_map
-        )
+        return parse_log_file(fh, kind, source=path.name, rejects=rejects)
 
 
 _KIND_ACTIVITY = {

@@ -164,22 +164,29 @@ def test_invalid_config_diagnostics(tmp_path, capsys):
 def test_config_types_follow_defaults(tmp_path, capsys):
     out = str(tmp_path / "o")
     accepted = {"w": 0, "log_dir": str(tmp_path), "ground_truth": None}
-    assert cli._load_config(write_config(tmp_path / "ok.json", out_dir=out, **accepted), {})
+    cfg = cli._load_config(write_config(tmp_path / "ok.json", out_dir=out, **accepted), {})
+    assert type(cfg["w"]) is float  # a decimal key's integer is read as a float
 
-    refused = {"n_min": True, "grasp_iterations": 2.5, "w": "0.1", "log_dir": 3,
-               "business_days": "0-4", "score_variants": [True], "out_dir": None}
-    for key, value in refused.items():
-        config = write_config(tmp_path / f"{key}.json", **{"out_dir": out, key: value})
-        assert main(["ingest", "--config", config]) == 1, key
-        assert f"invalid config: {key} must be " in capsys.readouterr().err, key
+    refused = [("n_min", True), ("grasp_iterations", 2.5), ("w", "0.1"), ("log_dir", 3),
+               ("business_days", "0-4"), ("business_days", [1.5]), ("business_days", ["3"]),
+               ("business_days", [True]), ("score_variants", [True]), ("out_dir", None),
+               ("a_exp", float("inf")), ("eigen_tol", float("nan"))]
+    for i, (key, value) in enumerate(refused):
+        config = write_config(tmp_path / f"{i}.json", **{"out_dir": out, key: value})
+        assert main(["features", "--config", config]) == 1, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid config: {key} must be "), (key, err)
+        assert err.count("\n") == 1, (key, err)
 
 
 def test_threads_knob_is_gone(tmp_path):
-    config = tmp_path / "threads.json"
-    config.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
-    proc = run_cli("ingest", "--config", str(config), cwd=tmp_path)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: invalid config: unknown key(s) ['threads']\n"
+    # so are the keys that switched clustering to the exact enumerator
+    for key, value in (("threads", 2), ("use_exact", True), ("oracle_bound", 10)):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        proc = run_cli("ingest", "--config", str(config), cwd=tmp_path)
+        assert proc.returncode == 1, key
+        assert proc.stderr == f"error: invalid config: unknown key(s) ['{key}']\n"
 
     proc = run_cli("ingest", "--threads", "2", cwd=tmp_path)
     assert proc.returncode == 2
@@ -198,7 +205,7 @@ def built_out(corpus, tmp_path_factory):
     ("cluster", "n_min", None),
     ("cluster", "rng_seed", None),
     ("rank", "eigen_tol", None),
-    ("cluster", "use_exact", "no"),
+    ("rank", "centrality_outside_sum", "no"),
 ])
 def test_mistyped_config_value_is_one_line_error(tmp_path, corpus, built_out, stage, key, value):
     # the stage's inputs exist, so only the config value can stop it
@@ -251,20 +258,26 @@ def test_grid_pipeline_shares_graph_and_centralities(tmp_path, corpus, monkeypat
 def test_bad_grid_rejected(tmp_path, corpus, capsys):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))
-    for grid in ("bogus=1", "n_min", "n_min=", "n_min=5..3"):
+    for grid in ("bogus=1", "n_min", "n_min=", "n_min=5..3", "w=NaN", "w=abc"):
         assert main(["pipeline", "--config", config, "--grid", grid]) == 1
         assert "invalid grid" in capsys.readouterr().err
 
 
-def test_oracle_bound_diagnostic(tmp_path, corpus, capsys):
-    config = write_config(
-        tmp_path / "cfg.json", log_dir=str(corpus), out_dir=str(tmp_path / "out"),
-        use_exact=True, oracle_bound=10,
-    )
-    for stage in ("ingest", "features", "graph"):
-        assert main([stage, "--config", config]) == 0
-    assert main(["cluster", "--config", config]) == 1
-    assert "oracle bound exceeded" in capsys.readouterr().err
+def test_grid_values_take_their_key_types(tmp_path, corpus):
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli("pipeline", "--config", config, "--grid", "n_min=3.0")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: invalid grid: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    assert main(["pipeline", "--config", config, "--grid", "gamma_min=1"]) == 0
+    header = (tmp_path / "out" / "clusters.jsonl").read_text().splitlines()[0]
+    assert '"gamma_min": 1.0' in header
+    assert _grid_cases("gamma_min=1;w=0..1") == [
+        ("A", {"gamma_min": 1.0, "w": 0.0}), ("B", {"gamma_min": 1.0, "w": 1.0}),
+    ]
 
 
 def test_reruns_are_byte_identical(tmp_path, corpus):

@@ -90,17 +90,6 @@ def test_missing_column_raises_schema_error_naming_expected():
     assert "expected" in str(err.value)
 
 
-def test_column_map_escape_hatch_renames_headers():
-    lines = [
-        "id,when,user,pc,activity",
-        "x,01/02/2010 08:00:00,U1,PC-1,Logon",
-    ]
-    with pytest.raises(SchemaError):
-        parse_log_file(lines, "logon")
-    events = parse_log_file(lines, "logon", column_map={"date": "when"})
-    assert len(events) == 1
-
-
 def test_malformed_rows_rejected_not_fatal():
     lines = [
         "id,date,user,pc,activity",
