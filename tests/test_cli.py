@@ -180,13 +180,11 @@ def test_config_types_follow_defaults(tmp_path, capsys):
 
 
 def test_threads_knob_is_gone(tmp_path):
-    # so are the keys that switched clustering to the exact enumerator
-    for key, value in (("threads", 2), ("use_exact", True), ("oracle_bound", 10)):
-        config = tmp_path / f"{key}.json"
-        config.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
-        proc = run_cli("ingest", "--config", str(config), cwd=tmp_path)
-        assert proc.returncode == 1, key
-        assert proc.stderr == f"error: invalid config: unknown key(s) ['{key}']\n"
+    config = tmp_path / "threads.json"
+    config.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
+    proc = run_cli("ingest", "--config", str(config), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: invalid config: unknown key(s) ['threads']\n"
 
     proc = run_cli("ingest", "--threads", "2", cwd=tmp_path)
     assert proc.returncode == 2
@@ -278,6 +276,21 @@ def test_grid_values_take_their_key_types(tmp_path, corpus):
     assert _grid_cases("gamma_min=1;w=0..1") == [
         ("A", {"gamma_min": 1.0, "w": 0.0}), ("B", {"gamma_min": 1.0, "w": 1.0}),
     ]
+
+
+def test_oracle_bound_diagnostic(tmp_path, corpus, capsys):
+    # clustering always runs GRASP: the keys that switched it to the exact
+    # enumerator are refused by every stage before any work is done
+    config = write_config(
+        tmp_path / "cfg.json", log_dir=str(corpus), out_dir=str(tmp_path / "out"),
+        use_exact=True, oracle_bound=10,
+    )
+    for stage in ("ingest", "features", "graph", "cluster", "rank", "pipeline"):
+        assert main([stage, "--config", config]) == 1, stage
+        err = capsys.readouterr().err
+        assert err == "error: invalid config: unknown key(s) ['oracle_bound', 'use_exact']\n", (
+            stage, err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_reruns_are_byte_identical(tmp_path, corpus):
