@@ -220,9 +220,9 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
 
 
 def _out_dir(cfg) -> Path:
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory.  Ingest and ``main`` create it just before they
+    write, so a run that fails first leaves no directory behind."""
+    return Path(cfg["out_dir"])
 
 
 def _log_dir(cfg) -> Path:
@@ -394,6 +394,7 @@ def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
     directory = load_ldap_snapshots(ldap_dir)
 
     events, rejects = _load_events(cfg, manifest)
+    out.mkdir(parents=True, exist_ok=True)
     write_directory_csv(out / "directory.csv", directory)
     manifest.add_output(out / "directory.csv")
     rejects.write_csv(out / "rejects.csv")
@@ -706,6 +707,7 @@ def main(argv=None) -> int:
             # "total" stays the time of the pipeline run this merges into
             manifest.data["timings"][args.stage] = time.perf_counter() - start
         # a pipeline run records everything; a single stage adds to earlier runs
+        out.mkdir(parents=True, exist_ok=True)
         manifest.write(out, merge=args.stage != "pipeline")
         return 0
     except StageError as exc:

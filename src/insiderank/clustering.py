@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,14 +141,10 @@ def max_subspace(members: Sequence[int], attrs: np.ndarray, w: float) -> tuple[i
     return tuple(np.flatnonzero(widths <= w).tolist())
 
 
-def quality(members, subspace, gamma: float, params: ClusterParams) -> float:
-    """``|C|**a_exp * |S|**b_exp * gamma**c_exp``.
-
-    ``members`` and ``subspace`` may be the sets themselves or bare sizes.
-    """
-    n = members if isinstance(members, int) else len(members)
-    s = subspace if isinstance(subspace, int) else len(subspace)
-    return (n ** params.a_exp) * (s ** params.b_exp) * (gamma ** params.c_exp)
+def quality(size, s_size, gamma, params: ClusterParams):
+    """``size**a_exp * s_size**b_exp * gamma**c_exp``, element by element
+    when ``s_size`` and ``gamma`` are numpy arrays."""
+    return (size ** params.a_exp) * (s_size ** params.b_exp) * (gamma ** params.c_exp)
 
 
 def _connected(members: set[int], graph: AttributedGraph) -> bool:
@@ -313,17 +309,45 @@ def _growth_bound(size: int, s_size: int, reach: int, n_open: int, p: ClusterPar
     return max(quality(k, s_size, min(reach, k - 1) / (k - 1), p) for k in ks)
 
 
+def _score_additions(
+    ctx: _GraspContext,
+    members: np.ndarray,
+    deg_in: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    live: np.ndarray,
+    cand: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Subspace size, minimum member degree and quality of ``members + {x}``
+    for each candidate ``x`` in ``cand``.
+
+    ``deg_in`` counts each vertex's neighbours among ``members``; ``live``
+    holds the variable columns still inside the members' subspace and
+    ``lo``/``hi`` their ranges over the members.  Only live columns can stay
+    inside the subspace, and a candidate lifts the minimum member degree
+    exactly when it is adjacent to every member at that minimum.
+    """
+    p = ctx.params
+    k = members.size + 1
+    rows = ctx.var_attrs[cand[:, None], live]
+    widths = np.maximum(hi, rows) - np.minimum(lo, rows)
+    s_sizes = ctx.n_const + (widths <= p.w).sum(axis=1)
+    member_degs = deg_in[members]
+    d_min = member_degs.min()
+    at_min = members[member_degs == d_min]
+    min_deg = np.minimum(d_min + ctx.adj_matrix[at_min[:, None], cand].all(axis=0), deg_in[cand])
+    return s_sizes, min_deg, quality(k, s_sizes.astype(np.float64), min_deg / (k - 1), p)
+
+
 def _grow(ctx: _GraspContext, rng: np.random.Generator) -> tuple[set[int] | None, int]:
     """Randomized greedy construction.
 
     Returns the best valid vertex set seen along the growth path (None if
     no grown set was valid) and the number of vertices added.  Each step
-    scores every candidate by the quality of the set it would make and
-    draws from the restricted candidate list.  The bookkeeping is
-    incremental: a column that leaves the subspace never returns, so only
-    live variable columns are tracked; a candidate's new minimum member
-    degree is ``d_min + 1`` exactly when it is adjacent to every member at
-    ``d_min``; and growth stops once :func:`_growth_bound` says no later
+    scores every candidate with :func:`_score_additions` and draws from the
+    restricted candidate list.  The bookkeeping is incremental: a column
+    that leaves the subspace never returns, so only live variable columns
+    are tracked; and growth stops once :func:`_growth_bound` says no later
     snapshot can beat the best one.
     """
     p = ctx.params
@@ -375,9 +399,7 @@ def _grow(ctx: _GraspContext, rng: np.random.Generator) -> tuple[set[int] | None
         cand = np.flatnonzero(candidates)
         if not cand.size:
             break
-        rows = var[cand[:, None], live]
-        widths = np.maximum(cur_max, rows) - np.minimum(cur_min, rows)
-        s_sizes = ctx.n_const + (widths <= p.w).sum(axis=1)
+        s_sizes, _, quals = _score_additions(ctx, members[:size], deg_in, cur_min, cur_max, live, cand)
         feasible = s_sizes >= p.s_min
         if not feasible.any():
             break
@@ -387,16 +409,7 @@ def _grow(ctx: _GraspContext, rng: np.random.Generator) -> tuple[set[int] | None
             closed[dropped] = True
             n_closed += dropped.size
             reach -= adj[dropped].sum(axis=0)
-            cand = cand[feasible]
-            s_sizes = s_sizes[feasible]
-
-        member_degs = deg_in[members[:size]]
-        d_min = member_degs.min()
-        at_min = members[:size][member_degs == d_min]
-        min_member_deg = d_min + adj[at_min[:, None], cand].all(axis=0)
-        min_deg = np.minimum(min_member_deg, deg_in[cand])
-        gammas = min_deg / size  # new size minus one equals current size
-        quals = ((size + 1) ** p.a_exp) * (s_sizes.astype(np.float64) ** p.b_exp) * (gammas ** p.c_exp)
+            cand, quals = cand[feasible], quals[feasible]
 
         best = quals.max()
         worst = quals.min()
@@ -422,105 +435,53 @@ def _grow(ctx: _GraspContext, rng: np.random.Generator) -> tuple[set[int] | None
     return best_members, size - 2
 
 
+def _neighbours(ctx: _GraspContext, current: TwofoldCluster) -> Iterator[set[int]]:
+    """Vertex sets one move from ``current``, in scan order: adds by
+    ascending vertex, removes by ascending vertex, then swaps by removed and
+    then added vertex.  An add is a swap that removes nothing.  Adds and
+    swaps below the subspace or degree floor, or not of higher quality than
+    ``current``, are skipped; connectivity is left to the caller."""
+    p, adj = ctx.params, ctx.adj_matrix
+    mem = np.fromiter(current.members, dtype=np.int64)
+    deg_in = adj[mem].sum(axis=0)
+
+    def additions(base: np.ndarray, deg_base: np.ndarray) -> Iterator[set[int]]:
+        nb = adj[base].any(axis=0)
+        nb[mem] = False
+        cand = np.flatnonzero(nb)
+        rows = ctx.var_attrs[base]
+        lo, hi = rows.min(axis=0), rows.max(axis=0)
+        live = np.flatnonzero(hi - lo <= p.w)
+        s_sizes, min_deg, quals = _score_additions(ctx, base, deg_base, lo[live], hi[live], live, cand)
+        ok = ((s_sizes >= p.s_min) & (min_deg >= required_degree(base.size + 1, p.gamma_min))
+              & (quals > current.quality))
+        kept = set(base.tolist())
+        return (kept | {x} for x in cand[ok].tolist())
+
+    yield from additions(mem, deg_in)
+    for y in current.members:
+        yield set(current.members) - {y}
+    for y in current.members:
+        yield from additions(mem[mem != y], deg_in - adj[y])
+
+
 def _local_search(ctx: _GraspContext, members: set[int]) -> tuple[TwofoldCluster, int]:
     """First-improvement hill climb with add, remove and swap moves.
 
-    Moves are scanned in a fixed order (ascending vertex index; swaps by
-    removed-then-added index) and taken only when the resulting set is a
-    valid cluster of strictly higher quality, so the climb is deterministic
-    and terminates.  Candidate moves are pre-filtered with vectorized
-    quality bounds; full validation runs only on improving candidates.
-    Returns the final cluster and the number of moves taken.
+    Each move takes the first set from :func:`_neighbours` that is a valid
+    cluster of strictly higher quality, so the climb is deterministic and
+    terminates.  Returns the final cluster and the number of moves taken.
     """
-    p = ctx.params
-    graph, var, adj = ctx.graph, ctx.var_attrs, ctx.adj_matrix
+    graph, p = ctx.graph, ctx.params
     current = _evaluate(graph, set(members), p)
     assert current is not None
-
-    def batch_improvers(
-        base: np.ndarray, cand: np.ndarray, deg_base: np.ndarray, cur_q: float
-    ) -> np.ndarray:
-        """Candidates x where base+{x} passes size/degree/width bounds and
-        beats cur_q; connectivity is left to the caller."""
-        k = base.size + 1  # size after adding x
-        # only variable columns inside base's subspace can stay inside it
-        rows_b = var[base]
-        b_min = rows_b.min(axis=0)
-        b_max = rows_b.max(axis=0)
-        live = np.flatnonzero(b_max - b_min <= p.w)
-        rows_c = var[cand[:, None], live]
-        widths = np.maximum(b_max[live], rows_c) - np.minimum(b_min[live], rows_c)
-        s_sizes = ctx.n_const + (widths <= p.w).sum(axis=1)
-        # a candidate lifts the minimum member degree only if it is adjacent
-        # to every member at that minimum
-        mdeg = deg_base[base]
-        d_min = mdeg.min()
-        min_member = d_min + adj[base[mdeg == d_min][:, None], cand].all(axis=0)
-        min_deg = np.minimum(min_member, deg_base[cand])
-        gammas = min_deg / (k - 1)
-        quals = (k ** p.a_exp) * (s_sizes.astype(np.float64) ** p.b_exp) * (gammas ** p.c_exp)
-        ok = (
-            (s_sizes >= p.s_min)
-            & (min_deg >= required_degree(k, p.gamma_min))
-            & (quals > cur_q)
-        )
-        if k < p.n_min:
-            ok &= False
-        return cand[ok]
-
-    moves = -1  # every pass but the last takes one move
-    improved = True
-    while improved:
-        moves += 1
-        improved = False
-        mem = np.fromiter(current.members, dtype=np.int64)
-        in_cur = np.zeros(ctx.n, dtype=bool)
-        in_cur[mem] = True
-        deg_in = adj[mem].sum(axis=0)
-        cur_q = current.quality
-
-        # Adds: current is connected and candidates are its neighbors, so
-        # the grown set stays connected and the batch filter is exact.
-        cand = np.flatnonzero(adj[mem].any(axis=0) & ~in_cur)
-        if cand.size:
-            for x in batch_improvers(mem, cand, deg_in, cur_q):
-                c = _evaluate(graph, set(current.members) | {int(x)}, p)
-                if c is not None and c.quality > cur_q:
-                    current = c
-                    improved = True
-                    break
-        if improved:
-            continue
-
-        for y in current.members:
-            rest = set(current.members) - {y}
-            if len(rest) < 2:
-                continue
-            c = _evaluate(graph, rest, p)
-            if c is not None and c.quality > cur_q:
-                current = c
-                improved = True
-                break
-        if improved:
-            continue
-
-        for y in current.members:
-            base = mem[mem != y]
-            deg_base = deg_in - adj[y]
-            nb = adj[base].any(axis=0)
-            nb[mem] = False
-            cand = np.flatnonzero(nb)
-            if not cand.size:
-                continue
-            for x in batch_improvers(base, cand, deg_base, cur_q):
-                c = _evaluate(graph, set(int(b) for b in base) | {int(x)}, p)
-                if c is not None and c.quality > cur_q:
-                    current = c
-                    improved = True
-                    break
-            if improved:
-                break
-    return current, moves
+    moves = 0
+    while True:
+        clusters = (_evaluate(graph, s, p) for s in _neighbours(ctx, current))
+        better = next((c for c in clusters if c is not None and c.quality > current.quality), None)
+        if better is None:
+            return current, moves
+        current, moves = better, moves + 1
 
 
 def _grasp_round(ctx: _GraspContext, iteration: int) -> tuple[TwofoldCluster | None, int, int]:

@@ -278,6 +278,22 @@ def test_grid_values_take_their_key_types(tmp_path, corpus):
     ]
 
 
+@pytest.mark.parametrize("args", [
+    ("pipeline", "--grid", "n_min=3.0"),
+    ("ingest",),
+    ("cluster",),
+    ("rank",),
+])
+def test_failed_run_creates_no_output_directory(tmp_path, monkeypatch, args):
+    # default config in an empty working directory: the run fails on its
+    # arguments or missing inputs before writing anything
+    monkeypatch.delenv("INSIDERANK_OUT", raising=False)
+    proc = run_cli(*args, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_bound_diagnostic(tmp_path, corpus, capsys):
     # clustering always runs GRASP: the keys that switched it to the exact
     # enumerator are refused by every stage before any work is done

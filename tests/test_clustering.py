@@ -135,7 +135,7 @@ def test_max_subspace_examples():
 def test_quality_examples():
     base = ClusterParams()
     assert quality(4, 3, 0.75, base) == 9.0
-    assert quality({1, 2, 3, 9}, {0, 5, 7}, 0.75, base) == 9.0
+    assert quality(4, np.array([3.0, 1.0]), np.array([0.75, 0.5]), base).tolist() == [9.0, 2.0]
 
     flat = ClusterParams(a_exp=0.0, b_exp=0.0, c_exp=0.0)
     assert quality(7, 2, 0.6, flat) == 1.0
