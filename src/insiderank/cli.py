@@ -74,6 +74,7 @@ from .features import (
 )
 from .graph import AttributedGraph, build_graph, degree_profile, load_graph, write_edges_csv
 from .ingest import (
+    LOG_LAYOUTS,
     LogEvent,
     RejectReport,
     SchemaError,
@@ -95,9 +96,6 @@ __all__ = ["DEFAULTS", "STAGES", "main"]
 
 STAGES = ("ingest", "features", "graph", "cluster", "rank", "eval", "synth", "pipeline")
 OUT_ENV_VAR = "INSIDERANK_OUT"
-
-_LOG_FILES = (("logon", "logon.csv"), ("device", "device.csv"),
-              ("email", "email.csv"), ("file", "file.csv"))
 
 # Flat config keys with their defaults; anything else in a config file is an
 # error, and so is a value whose JSON type differs from its default's (see
@@ -333,7 +331,7 @@ def _require(path: Path, what: str) -> Path:
 
 
 # Parsed activity logs: the events of each log file present, keyed by file
-# name in _LOG_FILES order, and the rows rejected across those files.
+# name in LOG_LAYOUTS order, and the rows rejected across those files.
 ParsedLogs = tuple[dict[str, list[LogEvent]], RejectReport]
 
 
@@ -345,22 +343,22 @@ def _load_events(
     required: bool = True,
 ) -> ParsedLogs:
     log_dir = _require(_log_dir(cfg), "log directory")
-    known = {name for _, name in _LOG_FILES}
+    known = {layout.file_name for layout in LOG_LAYOUTS.values()}
     for stray in sorted(p.name for p in log_dir.glob("*.csv") if p.name not in known):
         _warn(f"skipping unsupported log file: {stray}")
+    wanted = [(kind, layout.file_name) for kind, layout in LOG_LAYOUTS.items()
+              if kinds is None or kind in kinds]
     events: dict[str, list[LogEvent]] = {}
     rejects = RejectReport()
-    for kind, name in _LOG_FILES:
-        if kinds is not None and kind not in kinds:
-            continue
+    for kind, name in wanted:
         path = log_dir / name
         if not path.exists():
             continue
         manifest.add_input(path)
         events[name] = read_log_csv(path, kind, rejects=rejects)
     if required and not events:
-        wanted = sorted(name for kind, name in _LOG_FILES if kinds is None or kind in kinds)
-        raise StageError(f"missing log files: none of {wanted} under {log_dir}")
+        names = sorted(name for _, name in wanted)
+        raise StageError(f"missing log files: none of {names} under {log_dir}")
     return events, rejects
 
 
@@ -452,8 +450,9 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
     events, parse_rejects = logs
     # build_graph numbers its rejects by position among the email events, and
     # graph_rejects.csv lists the email.csv parse rejects first
-    emails = events.get("email.csv", [])
-    rejects = parse_rejects.from_source("email.csv")
+    email_log = LOG_LAYOUTS["email"].file_name
+    emails = events.get(email_log, [])
+    rejects = parse_rejects.from_source(email_log)
     graph = build_graph(
         directory, emails, matrix, names,
         internal_domain=cfg["internal_domain"], rejects=rejects,
@@ -557,7 +556,7 @@ def stage_synth(cfg, manifest: Manifest) -> None:
                                   n_days=cfg["synth_n_days"])
     except ValueError as exc:
         raise StageError(f"invalid config: synth: {exc}")
-    for name in ("logon.csv", "device.csv", "email.csv", "file.csv",
+    for name in (*(layout.file_name for layout in LOG_LAYOUTS.values()),
                  "ldap/2009-12.csv", "ground_truth.txt"):
         manifest.add_output(log_dir / name)
     manifest.data["stats"]["synth"] = {"users": len(directory),

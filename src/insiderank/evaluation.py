@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ranking import OutlierScoreTable
+from .ranking import N_VARIANTS, OutlierScoreTable
 
 __all__ = [
     "GroundTruth",
@@ -149,8 +149,9 @@ def write_auc_summary_csv(
     """Rows of (case label, n_min, s_min, AUC per score variant)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["case", "n_min", "s_min"] + [f"score_{k}" for k in range(1, 7)])
+        writer.writerow(["case", "n_min", "s_min"]
+                        + [f"score_{k}" for k in range(1, N_VARIANTS + 1)])
         for case, n_min, s_min, aucs in rows:
-            if len(aucs) != 6:
-                raise ValueError(f"case {case}: expected 6 AUC values, got {len(aucs)}")
+            if len(aucs) != N_VARIANTS:
+                raise ValueError(f"case {case}: expected {N_VARIANTS} AUC values, got {len(aucs)}")
             writer.writerow([case, n_min, s_min] + [repr(float(a)) for a in aucs])

@@ -14,19 +14,21 @@ organisational attributes.  Conventions, applied uniformly:
 * Categorical fields (role, functional unit, department, team) are coded as
   integers assigned in lexicographic order of the observed values.
 
-``ATTRIBUTE_NAMES`` is the canonical column order used by every artifact that
-serializes vectors.
+One ordered sequence of calls in ``_attribute_row`` builds a user's vector,
+and each call appends its columns' names and values together.
+``ATTRIBUTE_NAMES``, the canonical column order used by every artifact that
+serializes vectors, is the names of the row built from no events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, time
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import EmailPayload, FilePayload, LogEvent, OrgDirectory
+from .ingest import LogEvent, OrgDirectory, _csv_rows
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -75,52 +77,6 @@ def decimal_hour(ts: datetime) -> float:
     return ts.hour + ts.minute / 60.0
 
 
-def _build_names() -> tuple[str, ...]:
-    names: list[str] = []
-
-    def scoped(prefix: str) -> None:
-        for scope in _SCOPES:
-            for stat in _STATS:
-                names.append(f"{prefix}_{scope}_{stat}")
-
-    def plain(prefix: str) -> None:
-        for stat in _STATS:
-            names.append(f"{prefix}_{stat}")
-
-    for box in ("to", "cc", "bcc"):
-        plain(f"email_recipients_{box}")
-    plain("email_size")
-    plain("email_attachments")
-    scoped("emails_per_day")
-    plain("email_send_time")
-    names.append("email_device_count")
-    names.append("email_address_count")
-    names.append("email_internal_contacts")
-    names.append("email_external_contacts")
-    names.extend(f"{f}_code" for f in CATEGORICAL_FIELDS)
-    scoped("logon_time")
-    scoped("logoff_time")
-    scoped("logons_per_day")
-    scoped("logoffs_per_day")
-    plain("logon_devices_per_day")
-    scoped("usb_uses_per_day")
-    scoped("usb_use_time")
-    names.append("usb_device_count")
-    plain("usb_devices_per_day")
-    names.append("usb_active_days")
-    scoped("file_copy_time")
-    names.extend(f"file_days_{scope}" for scope in _SCOPES)
-    scoped("files_per_day")
-    names.extend(f"file_ratio_{ext}" for ext in FILE_TYPES)
-    names.append("file_device_count")
-    return tuple(names)
-
-
-ATTRIBUTE_NAMES: tuple[str, ...] = _build_names()
-assert len(ATTRIBUTE_NAMES) == 125
-assert len(set(ATTRIBUTE_NAMES)) == 125
-
-
 @dataclass(frozen=True)
 class AttributeVector:
     user: str
@@ -156,13 +112,6 @@ def _stats(values: Sequence[float]) -> tuple[float, float, float]:
     return (float(max(values)), float(min(values)), float(sum(values)) / len(values))
 
 
-def _scope_filter(events: Sequence[LogEvent], scope: str, config: CalendarConfig):
-    if scope == "all":
-        return list(events)
-    want = "BH" if scope == "bh" else "AH"
-    return [e for e in events if classify_hours(e.timestamp, config) == want]
-
-
 def _daily_counts(events: Sequence[LogEvent]) -> list[int]:
     per_day: dict[object, int] = {}
     for e in events:
@@ -178,16 +127,6 @@ def _daily_device_counts(events: Sequence[LogEvent]) -> list[int]:
     return [len(per_day[d]) for d in sorted(per_day)]
 
 
-def _scoped_time_stats(out: list[float], events: Sequence[LogEvent], config: CalendarConfig) -> None:
-    for scope in _SCOPES:
-        out.extend(_stats([decimal_hour(e.timestamp) for e in _scope_filter(events, scope, config)]))
-
-
-def _scoped_daily_stats(out: list[float], events: Sequence[LogEvent], config: CalendarConfig) -> None:
-    for scope in _SCOPES:
-        out.extend(_stats(_daily_counts(_scope_filter(events, scope, config))))
-
-
 def _is_internal(address: str, internal_domain: str) -> bool:
     address = address.lower()
     if "@" not in address:
@@ -197,77 +136,119 @@ def _is_internal(address: str, internal_domain: str) -> bool:
     return domain == suffix or domain.endswith("." + suffix)
 
 
-def _user_vector(
+def _scopes(events: Sequence[LogEvent], config: CalendarConfig):
+    """Each scope of _SCOPES with its events: all, business hours, after hours."""
+    in_bh: list[LogEvent] = []
+    in_ah: list[LogEvent] = []
+    for e in events:
+        (in_bh if classify_hours(e.timestamp, config) == "BH" else in_ah).append(e)
+    return tuple(zip(_SCOPES, (events, in_bh, in_ah)))
+
+
+def _hours(events: Sequence[LogEvent]) -> list[float]:
+    return [decimal_hour(e.timestamp) for e in events]
+
+
+class _Row:
+    """One attribute vector under construction.  Every call appends the names
+    and the values of its columns together, so they cannot fall out of step."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self.values: list[float] = []
+
+    def add(self, name: str, value: float) -> None:
+        self.names.append(name)
+        self.values.append(float(value))
+
+    def stats(self, prefix: str, values: Sequence[float]) -> None:
+        for stat, value in zip(_STATS, _stats(values)):
+            self.add(f"{prefix}_{stat}", value)
+
+    def scoped(self, prefix: str, scopes, measure) -> None:
+        """The stats of ``measure(events)`` for each scope from :func:`_scopes`."""
+        for scope, events in scopes:
+            self.stats(f"{prefix}_{scope}", measure(events))
+
+
+def _attribute_row(
     events: Sequence[LogEvent],
-    record,
-    codes: Mapping[str, Mapping[str, int]],
+    org_codes: Mapping[str, int],
     config: CalendarConfig,
     internal_domain: str,
-) -> np.ndarray:
-    emails = [e for e in events if e.kind == "email"]
-    logons = [e for e in events if e.kind == "logon"]
-    logoffs = [e for e in events if e.kind == "logoff"]
-    sessions = logons + logoffs
-    connects = [e for e in events if e.kind == "device_connect"]
-    device_events = [e for e in events if e.kind in ("device_connect", "device_disconnect")]
-    files = [e for e in events if e.kind == "file_copy"]
+) -> _Row:
+    """The columns of one user's vector; ``org_codes`` maps each categorical
+    field to the user's code."""
 
-    v: list[float] = []
+    def of(*kinds: str) -> list[LogEvent]:
+        return [e for e in events if e.kind in kinds]
+
+    row = _Row()
 
     # Email: recipient counts per field, size, attachments.
+    emails = of("email")
     payloads = [e.payload for e in emails]
     for box in ("to", "cc", "bcc"):
-        v.extend(_stats([len(getattr(p, box)) for p in payloads]))
-    v.extend(_stats([p.size for p in payloads]))
-    v.extend(_stats([p.attachments for p in payloads]))
-    _scoped_daily_stats(v, emails, config)
-    v.extend(_stats([decimal_hour(e.timestamp) for e in emails]))
-    v.append(float(len({e.pc for e in emails})))
-    v.append(float(len({p.sender.lower() for p in payloads if p.sender})))
+        row.stats(f"email_recipients_{box}", [len(getattr(p, box)) for p in payloads])
+    row.stats("email_size", [p.size for p in payloads])
+    row.stats("email_attachments", [p.attachments for p in payloads])
+    row.scoped("emails_per_day", _scopes(emails, config), _daily_counts)
+    row.stats("email_send_time", _hours(emails))
+    row.add("email_device_count", len({e.pc for e in emails}))
+    row.add("email_address_count", len({p.sender.lower() for p in payloads if p.sender}))
     internal: set[str] = set()
     external: set[str] = set()
     for p in payloads:
         for addr in p.recipients():
             (internal if _is_internal(addr, internal_domain) else external).add(addr.lower())
-    v.append(float(len(internal)))
-    v.append(float(len(external)))
+    row.add("email_internal_contacts", len(internal))
+    row.add("email_external_contacts", len(external))
 
     # Organisational codes.
     for fname in CATEGORICAL_FIELDS:
-        v.append(float(codes[fname][getattr(record, fname)]))
+        row.add(f"{fname}_code", org_codes[fname])
 
     # Logon / logoff behaviour.
-    _scoped_time_stats(v, logons, config)
-    _scoped_time_stats(v, logoffs, config)
-    _scoped_daily_stats(v, logons, config)
-    _scoped_daily_stats(v, logoffs, config)
-    v.extend(_stats(_daily_device_counts(sessions)))
+    logons = _scopes(of("logon"), config)
+    logoffs = _scopes(of("logoff"), config)
+    row.scoped("logon_time", logons, _hours)
+    row.scoped("logoff_time", logoffs, _hours)
+    row.scoped("logons_per_day", logons, _daily_counts)
+    row.scoped("logoffs_per_day", logoffs, _daily_counts)
+    row.stats("logon_devices_per_day", _daily_device_counts(of("logon", "logoff")))
 
     # Removable media; a "usage" is a connect event.
-    _scoped_daily_stats(v, connects, config)
-    _scoped_time_stats(v, connects, config)
-    v.append(float(len({e.pc for e in device_events})))
-    v.extend(_stats(_daily_device_counts(device_events)))
-    v.append(float(len({e.timestamp.date() for e in device_events})))
+    connects = _scopes(of("device_connect"), config)
+    device_events = of("device_connect", "device_disconnect")
+    row.scoped("usb_uses_per_day", connects, _daily_counts)
+    row.scoped("usb_use_time", connects, _hours)
+    row.add("usb_device_count", len({e.pc for e in device_events}))
+    row.stats("usb_devices_per_day", _daily_device_counts(device_events))
+    row.add("usb_active_days", len({e.timestamp.date() for e in device_events}))
 
     # File copies.
-    _scoped_time_stats(v, files, config)
-    for scope in _SCOPES:
-        v.append(float(len({e.timestamp.date() for e in _scope_filter(files, scope, config)})))
-    _scoped_daily_stats(v, files, config)
+    files = of("file_copy")
+    scoped_files = _scopes(files, config)
+    row.scoped("file_copy_time", scoped_files, _hours)
+    for scope, in_scope in scoped_files:
+        row.add(f"file_days_{scope}", len({e.timestamp.date() for e in in_scope}))
+    row.scoped("files_per_day", scoped_files, _daily_counts)
     by_ext: dict[str, int] = {}
     for e in files:
         name = e.payload.filename
         ext = name.rsplit(".", 1)[1].lower() if "." in name else ""
         by_ext[ext] = by_ext.get(ext, 0) + 1
-    total_files = len(files)
     for ext in FILE_TYPES:
-        v.append(by_ext.get(ext, 0) / total_files if total_files else 0.0)
-    v.append(float(len({e.pc for e in files})))
+        row.add(f"file_ratio_{ext}", by_ext.get(ext, 0) / len(files) if files else 0.0)
+    row.add("file_device_count", len({e.pc for e in files}))
+    return row
 
-    vec = np.asarray(v, dtype=np.float64)
-    assert vec.shape == (len(ATTRIBUTE_NAMES),)
-    return vec
+
+ATTRIBUTE_NAMES: tuple[str, ...] = tuple(
+    _attribute_row((), dict.fromkeys(CATEGORICAL_FIELDS, 0), CalendarConfig(), "").names
+)
+assert len(ATTRIBUTE_NAMES) == 125
+assert len(set(ATTRIBUTE_NAMES)) == 125
 
 
 def extract_attributes(
@@ -289,10 +270,10 @@ def extract_attributes(
     codes = encode_categoricals(directory)
     vectors = []
     for uid in directory.sorted_user_ids():
-        events = events_by_user.get(uid, ())
-        vectors.append(
-            AttributeVector(uid, _user_vector(events, directory.users[uid], codes, config, internal_domain))
-        )
+        record = directory.users[uid]
+        org_codes = {f: codes[f][getattr(record, f)] for f in CATEGORICAL_FIELDS}
+        row = _attribute_row(events_by_user.get(uid, ()), org_codes, config, internal_domain)
+        vectors.append(AttributeVector(uid, np.asarray(row.values, dtype=np.float64)))
     return vectors
 
 
@@ -342,17 +323,15 @@ def write_nodes_csv(
 
 def read_nodes_csv(path) -> tuple[list[str], np.ndarray, list[str]]:
     """Read a nodes table; returns (user_ids, matrix, attribute names)."""
-    import csv
-
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows_in = _csv_rows(fh, str(path))
+        _, header = next(rows_in, (0, None))
         if not header or header[0] != "user_id":
             raise ValueError(f"{path}: expected a nodes table starting with user_id")
         names = header[1:]
         users: list[str] = []
         rows: list[list[float]] = []
-        for row in reader:
+        for _, row in rows_in:
             if not row:
                 continue
             if len(row) != len(header):

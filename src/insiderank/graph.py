@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import _is_internal, read_nodes_csv
-from .ingest import EmailPayload, LogEvent, OrgDirectory, RejectReport
+from .ingest import EmailPayload, LogEvent, OrgDirectory, RejectReport, _csv_rows
 
 __all__ = [
     "AttributedGraph",
@@ -205,11 +205,11 @@ def write_edges_csv(path: str | Path, graph: AttributedGraph) -> None:
 def read_edges_csv(path: str | Path, index: Mapping[str, int]) -> list[tuple[int, int]]:
     edges: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(fh, str(path))
+        _, header = next(rows, (0, None))
         if header != ["src", "dst"]:
             raise ValueError(f"{path}: expected an edge table with header src,dst")
-        for row in reader:
+        for _, row in rows:
             if not row:
                 continue
             if len(row) != 2:

@@ -1,17 +1,19 @@
 """Activity-log and directory ingestion.
 
 Reads the CSV layout used by the CMU CERT insider-threat releases (r4.2
-column order):
-
-    logon.csv   id,date,user,pc,activity          activity in {Logon, Logoff}
-    device.csv  id,date,user,pc,activity          activity in {Connect, Disconnect}
-    email.csv   id,date,user,pc,to,cc,bcc,from,size,attachments,content
-    file.csv    id,date,user,pc,filename,content
+column order).  ``LOG_LAYOUTS`` is the one description of the four activity
+logs, keyed by log kind (logon, device, email, file): each file's name, its
+columns in written order, and for logon and device the ``activity`` value of
+each event kind.  The parser, :func:`write_log_file`, the synthetic corpus
+generator and the CLI all read it.  The free-text ``content`` column of
+email.csv and file.csv is never parsed.
 
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
 Malformed rows never abort a parse: they are recorded in a
-:class:`RejectReport` with their file, line number and reason.
+:class:`RejectReport` with their file, line number and reason.  Text that is
+not valid CSV at all, such as a field longer than ``csv.field_size_limit()``,
+raises ValueError naming the file and line.
 
 LDAP-style directory snapshots (one CSV per month) are merged into an
 :class:`OrgDirectory`; later snapshots win for users present in several.
@@ -20,6 +22,7 @@ LDAP-style directory snapshots (one CSV per month) are merged into an
 from __future__ import annotations
 
 import csv
+import operator
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -29,9 +32,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "EVENT_KINDS",
     "FILE_KINDS",
+    "LOG_LAYOUTS",
     "EmailPayload",
     "FilePayload",
     "LogEvent",
+    "LogLayout",
     "OrgDirectory",
     "RejectReport",
     "SchemaError",
@@ -60,20 +65,34 @@ EVENT_KINDS = (
     "file_copy",
 )
 
-# File kinds accepted by parse_log_file, with their required columns and the
-# mapping from the CSV "activity" value to an event kind where relevant.
-_SCHEMAS: Mapping[str, tuple[str, ...]] = {
-    "logon": ("id", "date", "user", "pc", "activity"),
-    "device": ("id", "date", "user", "pc", "activity"),
-    "email": ("id", "date", "user", "pc", "to", "cc", "bcc", "from", "size", "attachments"),
-    "file": ("id", "date", "user", "pc", "filename"),
-}
-FILE_KINDS = tuple(_SCHEMAS)
 
-_ACTIVITY_KINDS = {
-    "logon": {"logon": "logon", "logoff": "logoff"},
-    "device": {"connect": "device_connect", "disconnect": "device_disconnect"},
+@dataclass(frozen=True)
+class LogLayout:
+    """One CERT activity log: file name, columns in written order, and the
+    ``activity`` value written for each event kind (logon and device only)."""
+
+    file_name: str
+    columns: tuple[str, ...]
+    activities: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        """The columns the parser reads, in written order."""
+        return tuple(c for c in self.columns if c != "content")
+
+
+_ENTRY = ("id", "date", "user", "pc")  # the columns every log starts with
+# Log kinds accepted by parse_log_file, in the order the CLI reads them.
+LOG_LAYOUTS: Mapping[str, LogLayout] = {
+    "logon": LogLayout("logon.csv", (*_ENTRY, "activity"),
+                       {"logon": "Logon", "logoff": "Logoff"}),
+    "device": LogLayout("device.csv", (*_ENTRY, "activity"),
+                        {"device_connect": "Connect", "device_disconnect": "Disconnect"}),
+    "email": LogLayout("email.csv", (*_ENTRY, "to", "cc", "bcc", "from", "size",
+                                     "attachments", "content")),
+    "file": LogLayout("file.csv", (*_ENTRY, "filename", "content")),
 }
+FILE_KINDS = tuple(LOG_LAYOUTS)
 
 
 class SchemaError(ValueError):
@@ -144,23 +163,37 @@ class RejectReport:
             writer.writerows(self.rows)
 
 
-def _normalize_header(raw_header: Sequence[str], kind: str) -> dict[str, int]:
-    """Map required column names to their positions in the file header."""
+def _layout(kind: str) -> LogLayout:
+    if kind not in LOG_LAYOUTS:
+        raise ValueError(f"unknown log kind {kind!r}; expected one of {list(LOG_LAYOUTS)}")
+    return LOG_LAYOUTS[kind]
+
+
+def _header_positions(raw_header: Sequence[str], kind: str) -> list[int]:
+    """The position in the file header of each required column, in order."""
     positions = {name.strip().lower(): i for i, name in enumerate(raw_header)}
-    required = _SCHEMAS[kind]
-    mapping: dict[str, int] = {}
-    missing: list[str] = []
-    for name in required:
-        if name in positions:
-            mapping[name] = positions[name]
-        else:
-            missing.append(name)
+    required = LOG_LAYOUTS[kind].required
+    missing = [name for name in required if name not in positions]
     if missing:
         raise SchemaError(
             f"{kind} header is missing column(s) {missing}; expected {list(required)}, "
             f"got {list(raw_header)}"
         )
-    return mapping
+    return [positions[name] for name in required]
+
+
+def _csv_rows(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader`` over ``lines``, yielding (line number, row).
+
+    Text that is not valid CSV, such as a field longer than
+    ``csv.field_size_limit()``, raises ValueError naming ``source`` and the line.
+    """
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -190,68 +223,59 @@ def parse_log_file(
     cannot be parsed are appended to ``rejects`` and skipped; a header that
     does not carry the expected columns raises :class:`SchemaError`.
     """
-    if kind not in _SCHEMAS:
-        raise ValueError(f"unknown log kind {kind!r}; expected one of {list(_SCHEMAS)}")
+    layout = _layout(kind)
+    kind_of = {activity.lower(): k for k, activity in layout.activities.items()}
     if rejects is None:
         rejects = RejectReport()
 
-    reader = csv.reader(lines)
+    rows = _csv_rows(lines, source)
     try:
-        raw_header = next(reader)
+        _, raw_header = next(rows)
     except StopIteration:
         raise SchemaError(f"{source}: empty file, expected a {kind} header")
-    columns = _normalize_header(raw_header, kind)
-    width = max(columns.values()) + 1
+    positions = _header_positions(raw_header, kind)
+    width = max(positions) + 1
+    required = operator.itemgetter(*positions)
 
     events: list[LogEvent] = []
-    for row in reader:
-        line = reader.line_num
+    for line, row in rows:
         if not row:
             continue
         if len(row) < width:
             rejects.add(source, line, f"expected at least {width} fields, got {len(row)}",
                         "short row")
             continue
-        get = lambda name: row[columns[name]].strip()
+        # the required columns, in LOG_LAYOUTS order
+        event_id, stamp, user, pc, *rest = map(str.strip, required(row))
         try:
-            timestamp = parse_timestamp(get("date"))
+            timestamp = parse_timestamp(stamp)
         except ValueError:
-            rejects.add(source, line, f"bad timestamp {get('date')!r}", "bad timestamp")
+            rejects.add(source, line, f"bad timestamp {stamp!r}", "bad timestamp")
             continue
-        user = get("user")
         if not user:
             rejects.add(source, line, "empty user", "empty user")
             continue
-        event_id = get("id")
-        pc = get("pc")
 
-        if kind in _ACTIVITY_KINDS:
-            activity = get("activity").lower()
-            event_kind = _ACTIVITY_KINDS[kind].get(activity)
+        if kind_of:
+            (activity,) = rest
+            event_kind = kind_of.get(activity.lower())
             if event_kind is None:
-                rejects.add(source, line, f"unknown activity {get('activity')!r}",
-                            "unknown activity")
+                rejects.add(source, line, f"unknown activity {activity!r}", "unknown activity")
                 continue
             events.append(LogEvent(event_id, timestamp, user, pc, event_kind))
         elif kind == "email":
+            to, cc, bcc, sender, size, attachments = rest
             try:
-                size = int(get("size"))
-                attachments = int(get("attachments"))
+                size, attachments = int(size), int(attachments)
             except ValueError:
                 rejects.add(source, line, "non-integer size or attachments",
                             "non-integer size")
                 continue
-            payload = EmailPayload(
-                sender=get("from"),
-                to=_split_addresses(get("to")),
-                cc=_split_addresses(get("cc")),
-                bcc=_split_addresses(get("bcc")),
-                size=size,
-                attachments=attachments,
-            )
+            payload = EmailPayload(sender, _split_addresses(to), _split_addresses(cc),
+                                   _split_addresses(bcc), size, attachments)
             events.append(LogEvent(event_id, timestamp, user, pc, "email", payload))
         else:  # file
-            filename = get("filename")
+            (filename,) = rest
             if not filename:
                 rejects.add(source, line, "empty filename", "empty filename")
                 continue
@@ -272,49 +296,28 @@ def read_log_csv(
         return parse_log_file(fh, kind, source=path.name, rejects=rejects)
 
 
-_KIND_ACTIVITY = {
-    "logon": "Logon",
-    "logoff": "Logoff",
-    "device_connect": "Connect",
-    "device_disconnect": "Disconnect",
-}
-
-
 def write_log_file(path: str | Path, events: Sequence[LogEvent], kind: str) -> None:
     """Serialize events back to the canonical CSV layout for ``kind``.
 
     Inverse of :func:`parse_log_file` for valid rows; the free-text content
     column (never parsed) is written empty.
     """
-    if kind not in _SCHEMAS:
-        raise ValueError(f"unknown log kind {kind!r}; expected one of {list(_SCHEMAS)}")
+    layout = _layout(kind)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if kind in ("logon", "device"):
-            writer.writerow(["id", "date", "user", "pc", "activity"])
-            for e in events:
-                stamp = e.timestamp.strftime(TIMESTAMP_FORMAT)
-                writer.writerow([e.event_id, stamp, e.user, e.pc, _KIND_ACTIVITY[e.kind]])
-        elif kind == "email":
-            writer.writerow(
-                ["id", "date", "user", "pc", "to", "cc", "bcc", "from",
-                 "size", "attachments", "content"]
-            )
-            for e in events:
-                p = e.payload
-                assert isinstance(p, EmailPayload)
-                stamp = e.timestamp.strftime(TIMESTAMP_FORMAT)
-                writer.writerow(
-                    [e.event_id, stamp, e.user, e.pc, ";".join(p.to), ";".join(p.cc),
-                     ";".join(p.bcc), p.sender, p.size, p.attachments, ""]
-                )
-        else:  # file
-            writer.writerow(["id", "date", "user", "pc", "filename", "content"])
-            for e in events:
-                p = e.payload
-                assert isinstance(p, FilePayload)
-                stamp = e.timestamp.strftime(TIMESTAMP_FORMAT)
-                writer.writerow([e.event_id, stamp, e.user, e.pc, p.filename, ""])
+        writer.writerow(layout.columns)
+        for e in events:
+            # the fields after id, date, user and pc, in LOG_LAYOUTS order
+            p = e.payload
+            if layout.activities:
+                rest = [layout.activities[e.kind]]
+            elif kind == "email":
+                rest = [";".join(p.to), ";".join(p.cc), ";".join(p.bcc), p.sender,
+                        p.size, p.attachments, ""]
+            else:  # file
+                rest = [p.filename, ""]
+            writer.writerow([e.event_id, e.timestamp.strftime(TIMESTAMP_FORMAT), e.user, e.pc,
+                             *rest])
 
 
 @dataclass(frozen=True)
@@ -329,6 +332,7 @@ class UserRecord:
     supervisor: str | None = None  # user id, resolved; None at the top of the tree
 
 
+# The columns of a directory snapshot: the UserRecord fields, in file order.
 _LDAP_COLUMNS = (
     "employee_name",
     "user_id",
@@ -339,6 +343,11 @@ _LDAP_COLUMNS = (
     "team",
     "supervisor",
 )
+
+
+def _user_record(row: Mapping[str, str], supervisor: str | None) -> UserRecord:
+    """The record of one snapshot row, with its supervisor resolved to a user id."""
+    return UserRecord(**{**row, "supervisor": supervisor})
 
 
 @dataclass
@@ -377,9 +386,9 @@ class OrgDirectory:
 
 def _read_ldap_rows(path: Path) -> list[dict[str, str]]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path.name)
         try:
-            raw_header = next(reader)
+            _, raw_header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path.name}: empty directory snapshot")
         positions = {name.strip().lower(): i for i, name in enumerate(raw_header)}
@@ -390,11 +399,11 @@ def _read_ldap_rows(path: Path) -> list[dict[str, str]]:
                 f"expected {list(_LDAP_COLUMNS)}"
             )
         rows = []
-        for row in reader:
+        for line, row in reader:
             if not row:
                 continue
             if len(row) <= max(positions[c] for c in _LDAP_COLUMNS):
-                raise ValueError(f"{path.name}: truncated row at line {reader.line_num}")
+                raise ValueError(f"{path.name}: truncated row at line {line}")
             rows.append({c: row[positions[c]].strip() for c in _LDAP_COLUMNS})
         return rows
 
@@ -445,16 +454,7 @@ def load_ldap_snapshots(directory: str | Path) -> OrgDirectory:
                 raise ValueError(
                     f"user {uid!r}: supervisor name {raw_sup!r} is ambiguous ({sorted(ids)})"
                 )
-        users[uid] = UserRecord(
-            user_id=uid,
-            employee_name=row["employee_name"],
-            email=row["email"],
-            role=row["role"],
-            functional_unit=row["functional_unit"],
-            department=row["department"],
-            team=row["team"],
-            supervisor=supervisor,
-        )
+        users[uid] = _user_record(row, supervisor)
     return OrgDirectory(users=users)
 
 
@@ -464,11 +464,8 @@ def write_directory_csv(path: str | Path, directory: OrgDirectory) -> None:
         writer = csv.writer(fh)
         writer.writerow(_LDAP_COLUMNS)
         for uid in directory.sorted_user_ids():
-            r = directory.users[uid]
-            writer.writerow(
-                [r.employee_name, r.user_id, r.email, r.role, r.functional_unit,
-                 r.department, r.team, r.supervisor or ""]
-            )
+            record = directory.users[uid]
+            writer.writerow([getattr(record, c) or "" for c in _LDAP_COLUMNS])
 
 
 def load_directory_csv(path: str | Path) -> OrgDirectory:
@@ -483,14 +480,5 @@ def load_directory_csv(path: str | Path) -> OrgDirectory:
         sup = row["supervisor"] or None
         if sup is not None and sup not in known:
             raise ValueError(f"user {uid!r}: unknown supervisor id {sup!r}")
-        users[uid] = UserRecord(
-            user_id=uid,
-            employee_name=row["employee_name"],
-            email=row["email"],
-            role=row["role"],
-            functional_unit=row["functional_unit"],
-            department=row["department"],
-            team=row["team"],
-            supervisor=sup,
-        )
+        users[uid] = _user_record(row, sup)
     return OrgDirectory(users=users)

@@ -33,6 +33,7 @@ import numpy as np
 from .centrality import CentralityTable
 from .clustering import ClusteringResult
 from .graph import AttributedGraph
+from .ingest import _csv_rows
 
 __all__ = [
     "NormalizationContext",
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 N_VARIANTS = 6
+_SCORES_HEADER = ["user_id", *(f"score_{k}" for k in range(1, N_VARIANTS + 1)), "memberships"]
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,7 @@ def rank_users(table: OutlierScoreTable, variant: int) -> list[str]:
 def write_scores_csv(path: str | Path, table: OutlierScoreTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["user_id"] + [f"score_{k}" for k in range(1, N_VARIANTS + 1)] + ["memberships"]
-        )
+        writer.writerow(_SCORES_HEADER)
         for i, user in enumerate(table.user_ids):
             writer.writerow(
                 [user]
@@ -180,17 +180,16 @@ def write_scores_csv(path: str | Path, table: OutlierScoreTable) -> None:
 
 
 def read_scores_csv(path: str | Path) -> OutlierScoreTable:
-    expected = ["user_id"] + [f"score_{k}" for k in range(1, N_VARIANTS + 1)] + ["memberships"]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"{path}: expected header {expected}, got {header}")
+        rows_in = _csv_rows(fh, str(path))
+        _, header = next(rows_in, (0, None))
+        if header != _SCORES_HEADER:
+            raise ValueError(f"{path}: expected header {_SCORES_HEADER}, got {header}")
         users: list[str] = []
         rows: list[list[float]] = []
         counts: list[int] = []
-        for row in reader:
-            if len(row) != len(expected):
+        for _, row in rows_in:
+            if len(row) != len(_SCORES_HEADER):
                 raise ValueError(f"{path}: malformed row {row}")
             users.append(row[0])
             rows.append([float(x) for x in row[1:-1]])

@@ -26,9 +26,10 @@ import numpy as np
 
 from .clustering import _connected, quasi_clique_gamma
 from .evaluation import GroundTruth, write_ground_truth
-from .features import CalendarConfig
+from .features import FILE_TYPES, CalendarConfig
 from .graph import AttributedGraph
 from .ingest import (
+    LOG_LAYOUTS,
     EmailPayload,
     FilePayload,
     LogEvent,
@@ -49,8 +50,6 @@ __all__ = [
 
 # Planted groups are repaired until they reach this quasi-clique density.
 GAMMA_FLOOR = 0.6
-
-_FILE_EXTENSIONS = ("doc", "exe", "jpg", "pdf", "txt", "zip")
 
 
 @dataclass(frozen=True)
@@ -366,16 +365,17 @@ def generate_logs(
             return [j for j in range(n) if j != i]
         return [m for m in members if m != i]
 
-    logons: list[tuple[datetime, int, str, str]] = []  # ts, seq, user, activity
-    devices: list[tuple[datetime, int, str, str]] = []
-    emails: list[tuple[datetime, int, str, EmailPayload]] = []
-    files: list[tuple[datetime, int, str, str]] = []
+    # rows of (timestamp, seq, user, event kind, payload), one list per log
+    logons: list[tuple] = []
+    devices: list[tuple] = []
+    emails: list[tuple] = []
+    files: list[tuple] = []
     seq = 0
 
-    def tick() -> int:
+    def log(rows: list, at: datetime, uid: str, kind: str, payload=None) -> None:
         nonlocal seq
         seq += 1
-        return seq
+        rows.append((at, seq, uid, kind, payload))
 
     for day_index in range(n_days):
         day = start_date + timedelta(days=day_index)
@@ -386,19 +386,19 @@ def generate_logs(
                 continue
             prof = profiles[i]
             if workday:
-                logons.append((_at(day, prof.morning + float(rng.random()) * 0.4), tick(), uid, "Logon"))
+                log(logons, _at(day, prof.morning + float(rng.random()) * 0.4), uid, "logon")
                 for _ in range(prof.logons - 1):
-                    logons.append((_at(day, 10.0 + float(rng.random()) * 5.0), tick(), uid, "Logon"))
-                logons.append((_at(day, 16.1 + float(rng.random()) * 0.8), tick(), uid, "Logoff"))
+                    log(logons, _at(day, 10.0 + float(rng.random()) * 5.0), uid, "logon")
+                log(logons, _at(day, 16.1 + float(rng.random()) * 0.8), uid, "logoff")
                 for _ in range(prof.usb):
                     t = 10.0 + float(rng.random()) * 5.0
-                    devices.append((_at(day, t), tick(), uid, "Connect"))
-                    devices.append((_at(day, t + 0.25), tick(), uid, "Disconnect"))
+                    log(devices, _at(day, t), uid, "device_connect")
+                    log(devices, _at(day, t + 0.25), uid, "device_disconnect")
                 for _ in range(prof.files):
                     t = 9.5 + float(rng.random()) * 6.0
-                    ext = _FILE_EXTENSIONS[int(rng.integers(len(_FILE_EXTENSIONS)))]
+                    ext = FILE_TYPES[int(rng.integers(len(FILE_TYPES)))]
                     name = f"doc{int(rng.integers(1000)):03d}.{ext}"
-                    files.append((_at(day, t), tick(), uid, name))
+                    log(files, _at(day, t), uid, "file_copy", FilePayload(name))
                 peers = peers_of(i)
                 for _ in range(prof.emails):
                     t = 9.0 + float(rng.random()) * 7.0
@@ -413,44 +413,23 @@ def generate_logs(
                         size=int(rng.integers(1000, 60000)),
                         attachments=int(rng.integers(0, 3)),
                     )
-                    emails.append((_at(day, t), tick(), uid, payload))
+                    log(emails, _at(day, t), uid, "email", payload)
             for _ in range(prof.ah_logons):
-                logons.append((_at(day, 19.0 + float(rng.random()) * 3.9), tick(), uid, "Logon"))
+                log(logons, _at(day, 19.0 + float(rng.random()) * 3.9), uid, "logon")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "ldap").mkdir(exist_ok=True)
 
-    def events(rows, prefix, build):
-        rows.sort(key=lambda r: (r[0], r[1]))
-        return [build(f"{prefix}{k + 1:06d}", r) for k, r in enumerate(rows)]
-
-    kind_of_activity = {"Logon": "logon", "Logoff": "logoff",
-                        "Connect": "device_connect", "Disconnect": "device_disconnect"}
-
     def pc_of(uid: str) -> str:
         return f"PC-{int(uid[1:]):04d}"
 
-    write_log_file(
-        out / "logon.csv",
-        events(logons, "L", lambda eid, r: LogEvent(eid, r[0], r[2], pc_of(r[2]), kind_of_activity[r[3]])),
-        "logon",
-    )
-    write_log_file(
-        out / "device.csv",
-        events(devices, "D", lambda eid, r: LogEvent(eid, r[0], r[2], pc_of(r[2]), kind_of_activity[r[3]])),
-        "device",
-    )
-    write_log_file(
-        out / "email.csv",
-        events(emails, "M", lambda eid, r: LogEvent(eid, r[0], r[2], pc_of(r[2]), "email", r[3])),
-        "email",
-    )
-    write_log_file(
-        out / "file.csv",
-        events(files, "F", lambda eid, r: LogEvent(eid, r[0], r[2], pc_of(r[2]), "file_copy", FilePayload(r[3]))),
-        "file",
-    )
+    for kind, rows, prefix in (("logon", logons, "L"), ("device", devices, "D"),
+                               ("email", emails, "M"), ("file", files, "F")):
+        rows.sort(key=lambda r: (r[0], r[1]))
+        events = [LogEvent(f"{prefix}{k + 1:06d}", ts, uid, pc_of(uid), event_kind, payload)
+                  for k, (ts, _, uid, event_kind, payload) in enumerate(rows)]
+        write_log_file(out / LOG_LAYOUTS[kind].file_name, events, kind)
     write_directory_csv(out / "ldap" / "2009-12.csv", directory)
     write_ground_truth(out / "ground_truth.txt", truth)
     return directory

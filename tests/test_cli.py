@@ -218,6 +218,37 @@ def test_mistyped_config_value_is_one_line_error(tmp_path, corpus, built_out, st
     assert "Traceback" not in proc.stderr
 
 
+# Every CSV reader the CLI uses, with a stage that reads that file first.
+@pytest.mark.parametrize("stage, name", [
+    ("ingest", "corpus/email.csv"),
+    ("ingest", "corpus/ldap/2009-12.csv"),
+    ("features", "out/directory.csv"),
+    ("cluster", "out/nodes.norm.csv"),
+    ("cluster", "out/edges.csv"),
+    ("eval", "out/scores.csv"),
+])
+def test_oversized_csv_field_is_one_line_error(tmp_path, corpus, built_out, stage, name):
+    shutil.copytree(corpus, tmp_path / "corpus")
+    shutil.copytree(built_out, tmp_path / "out")
+    path = tmp_path / name
+    line = len(path.read_text().splitlines()) + 1
+    # a field one and a half times csv.field_size_limit() long, in a column
+    # that is never parsed where the file has one
+    with open(path, "a") as fh:
+        if path.name == "email.csv":
+            fh.write("M999999,01/05/2010 09:00:00,U0001,PC-0001,u0002@dtaa.com,,,"
+                     "u0001@dtaa.com,100,0,")
+        fh.write("x" * 200_000 + "\r\n")
+    config = write_config(tmp_path / "cfg.json", log_dir=str(tmp_path / "corpus"),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli(stage, "--config", config)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: invalid inputs: "), proc.stderr
+    assert f"{path.name}:{line}: field larger than field limit" in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))

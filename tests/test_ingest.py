@@ -8,6 +8,8 @@ from datetime import datetime
 import pytest
 
 from insiderank.ingest import (
+    FILE_KINDS,
+    LOG_LAYOUTS,
     EmailPayload,
     OrgDirectory,
     RejectReport,
@@ -167,6 +169,60 @@ def test_round_trip_parse_write_parse(tmp_path):
     out = tmp_path / "logon.csv"
     write_log_file(out, first, "logon")
     assert read_log_csv(out, "logon") == first
+
+    device_lines = [
+        "id,date,user,pc,activity",
+        "d1,03/04/2010 09:00:00,U1,PC-1,Connect",
+        "d2,03/04/2010 09:15:00,U1,PC-1,Disconnect",
+    ]
+    first = parse_log_file(device_lines, "device")
+    out = tmp_path / "device.csv"
+    write_log_file(out, first, "device")
+    assert read_log_csv(out, "device") == first
+
+
+# One canonical file per log kind, as write_log_file lays it out: columns in
+# LOG_LAYOUTS order, CRLF line ends, and an empty content column.
+CANONICAL = {
+    "logon": ["id,date,user,pc,activity",
+              "l1,03/04/2010 08:00:00,U1,PC-1,Logon",
+              "l2,03/04/2010 17:30:00,U2,PC-2,Logoff"],
+    "device": ["id,date,user,pc,activity",
+               "d1,03/04/2010 09:00:00,U1,PC-1,Connect",
+               "d2,03/04/2010 09:15:00,U1,PC-1,Disconnect"],
+    "email": ["id,date,user,pc,to,cc,bcc,from,size,attachments,content",
+              "e1,03/04/2010 11:22:00,U1,PC-1,a@dtaa.com;b@x.org,,c@dtaa.com,u1@dtaa.com,512,0,",
+              "e2,03/04/2010 12:00:00,U2,PC-2,u1@dtaa.com,d@dtaa.com,,,77,2,"],
+    "file": ["id,date,user,pc,filename,content",
+             "f1,03/04/2010 13:00:00,U1,PC-1,notes.txt,",
+             "f2,12/31/2010 23:59:59,U2,PC-2,\"a,b.doc\","],
+}
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_canonical_log_is_written_back_byte_for_byte(tmp_path, kind):
+    text = "".join(line + "\r\n" for line in CANONICAL[kind])
+    source = tmp_path / LOG_LAYOUTS[kind].file_name
+    source.write_bytes(text.encode())
+    rejects = RejectReport()
+    events = read_log_csv(source, kind, rejects=rejects)
+    assert len(events) == len(CANONICAL[kind]) - 1 and not rejects.rows
+    copy = tmp_path / "copy.csv"
+    write_log_file(copy, events, kind)
+    assert copy.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("kind, activity", [("logon", "Connect"), ("logon", "disconnect"),
+                                            ("device", "Logon"), ("device", "LOGOFF")])
+def test_activity_of_the_other_log_is_unknown(kind, activity):
+    rejects = RejectReport()
+    events = parse_log_file(
+        ["id,date,user,pc,activity", f"a,01/02/2010 09:00:00,U1,PC-1,{activity}"], kind,
+        source="x.csv", rejects=rejects,
+    )
+    assert events == []
+    assert rejects.rows == [("x.csv", 2, f"unknown activity {activity!r}")]
+    assert rejects.classes == ["unknown activity"]
 
 
 def test_unknown_kind_rejected():
