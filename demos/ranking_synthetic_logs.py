@@ -37,22 +37,21 @@ spec = SynthSpec(
 calendar = CalendarConfig()
 with tempfile.TemporaryDirectory(prefix="demo_logs_") as tmp:
     out_dir = Path(tmp)
-    directory = generate_logs(spec, calendar, out_dir, n_days=15)
+    directory = generate_logs(spec, calendar, out_dir, n_days=15).directory
     print(f"wrote corpus to {out_dir}")
     for path in sorted(out_dir.glob("*.csv")):
         print(f"  {path.name}: {sum(1 for _ in open(path)) - 1} rows")
 
-    # parse the four activity logs back in
-    events = []
-    for kind in ("logon", "device", "email", "file"):
-        events.extend(read_log_csv(out_dir / f"{kind}.csv", kind))
-    print(f"parsed {len(events)} events for {len(directory.users)} directory users")
+    # parse the four activity logs back in, one event table per log
+    logs = {kind: read_log_csv(out_dir / f"{kind}.csv", kind)
+            for kind in ("logon", "device", "email", "file")}
+    n_events = sum(len(table) for table in logs.values())
+    print(f"parsed {n_events} events for {len(directory.users)} directory users")
 
     # one 125-dimensional vector per user, min-max normalized per column
-    vectors = extract_attributes(group_by_user(events), directory, calendar)
+    vectors = extract_attributes(group_by_user(logs.values()), directory, calendar)
     users, matrix = attribute_matrix(vectors)
-    graph = build_graph(directory, [e for e in events if e.kind == "email"],
-                        normalize_matrix(matrix), ATTRIBUTE_NAMES)
+    graph = build_graph(directory, logs["email"], normalize_matrix(matrix), ATTRIBUTE_NAMES)
     print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
 
     params = ClusterParams(n_min=3, s_min=6, gamma_min=0.5, w=0.06,

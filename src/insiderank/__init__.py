@@ -4,7 +4,8 @@ The package turns raw activity logs (logons, removable media, email, file
 copies) plus an organisational directory into a ranked list of users whose
 combined graph structure and behaviour profile deviates from their peers:
 
-1. `ingest` parses the log corpus and LDAP snapshots.
+1. `ingest` parses the log corpus into columnar event tables, and the LDAP
+   snapshots.
 2. `features` summarizes each user as a 125-dimensional attribute vector.
 3. `graph` builds the user relationship graph from supervisor links and
    internal email traffic, attributed with the normalized vectors.
@@ -50,6 +51,7 @@ from .features import (
 )
 from .graph import AttributedGraph, build_graph, degree_profile, load_graph
 from .ingest import (
+    EventTable,
     LogEvent,
     OrgDirectory,
     RejectReport,
@@ -75,6 +77,7 @@ __all__ = [
     "CentralityTable",
     "ClusterParams",
     "ClusteringResult",
+    "EventTable",
     "GroundTruth",
     "LogEvent",
     "NonConvergenceError",

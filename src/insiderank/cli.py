@@ -10,12 +10,17 @@ be rerun from its persisted inputs:
     rank      graph + clusters      -> centrality.csv, scores.csv, ranking.<k>.csv
     eval      scores + ground truth -> roc.<k>.csv, distribution.<k>.csv, auc_summary.csv
     synth     nothing               -> a synthetic log corpus with ground truth
+                                       (the files generate_logs reports writing)
     pipeline  ingest to eval, optionally over a parameter grid
 
-Run on its own, features parses the four logs and graph parses email.csv
-again.  The pipeline parses each log once, in ingest, and hands the events
-and rejects to features and graph in memory; the artifacts are the same
-bytes either way.
+Each log is parsed into one columnar event table (ingest.EventTable);
+features groups the tables by user and computes every attribute column by
+column, and graph resolves each distinct email address once.  Run on its
+own, features parses the four logs and graph parses email.csv again.  The
+pipeline parses each log once, in ingest, and hands the event tables and
+rejects to features and graph in memory; the artifacts are the same bytes
+either way.  With a grid, auc_summary.csv adds a column for each cluster
+parameter that differs between cases, after the AUCs.
 
 Configuration is a single flat JSON object; command-line flags override
 config keys, and the INSIDERANK_OUT environment variable overrides the
@@ -42,6 +47,8 @@ from dataclasses import fields as dataclass_fields
 from datetime import time as dtime
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .centrality import (
     CentralityTable,
@@ -74,8 +81,9 @@ from .features import (
 )
 from .graph import AttributedGraph, build_graph, degree_profile, load_graph, write_edges_csv
 from .ingest import (
+    EVENT_KINDS,
     LOG_LAYOUTS,
-    LogEvent,
+    EventTable,
     RejectReport,
     SchemaError,
     load_directory_csv,
@@ -330,9 +338,9 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-# Parsed activity logs: the events of each log file present, keyed by file
-# name in LOG_LAYOUTS order, and the rows rejected across those files.
-ParsedLogs = tuple[dict[str, list[LogEvent]], RejectReport]
+# Parsed activity logs: the event table of each log file present, keyed by
+# file name in LOG_LAYOUTS order, and the rows rejected across those files.
+ParsedLogs = tuple[dict[str, EventTable], RejectReport]
 
 
 def _load_events(
@@ -348,7 +356,7 @@ def _load_events(
         _warn(f"skipping unsupported log file: {stray}")
     wanted = [(kind, layout.file_name) for kind, layout in LOG_LAYOUTS.items()
               if kinds is None or kind in kinds]
-    events: dict[str, list[LogEvent]] = {}
+    events: dict[str, EventTable] = {}
     rejects = RejectReport()
     for kind, name in wanted:
         path = log_dir / name
@@ -399,10 +407,11 @@ def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
     manifest.add_output(out / "rejects.csv")
 
     counts: dict[str, int] = {}
-    rows = {name: len(file_events) for name, file_events in events.items()}
-    for file_events in events.values():
-        for e in file_events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
+    rows = {name: len(table) for name, table in events.items()}
+    for table in events.values():
+        for kind, count in zip(EVENT_KINDS, np.bincount(table.kind, minlength=len(EVENT_KINDS))):
+            if count:
+                counts[kind] = counts.get(kind, 0) + int(count)
     for source, _, _ in rejects.rows:
         rows[source] += 1
     manifest.data["stats"]["ingest"] = {
@@ -420,7 +429,7 @@ def stage_features(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> N
     directory = _load_directory(cfg, manifest)
     events, rejects = logs if logs is not None else _load_events(cfg, manifest)
     vectors = extract_attributes(
-        group_by_user(itertools.chain.from_iterable(events.values())), directory,
+        group_by_user(events.values()), directory,
         _calendar(cfg), internal_domain=cfg["internal_domain"],
     )
     users, matrix = attribute_matrix(vectors)
@@ -540,7 +549,7 @@ def stage_eval(cfg, manifest: Manifest, params: ClusterParams | None = None,
                                    score_distribution(table, variant))
             manifest.add_output(out / f"distribution.{variant}.csv")
     params = params or _cluster_params(cfg)
-    row = (case_label, params.n_min, params.s_min, aucs)
+    row = (case_label, params, aucs)
     write_auc_summary_csv(out / "auc_summary.csv", [row])
     manifest.add_output(out / "auc_summary.csv")
     shown = ", ".join(f"score_{k + 1}={a:.4f}" for k, a in enumerate(aucs))
@@ -552,16 +561,14 @@ def stage_synth(cfg, manifest: Manifest) -> None:
     spec = _synth_spec(cfg)
     log_dir = _log_dir(cfg)
     try:
-        directory = generate_logs(spec, _calendar(cfg), log_dir,
-                                  n_days=cfg["synth_n_days"])
+        corpus = generate_logs(spec, _calendar(cfg), log_dir, n_days=cfg["synth_n_days"])
     except ValueError as exc:
         raise StageError(f"invalid config: synth: {exc}")
-    for name in (*(layout.file_name for layout in LOG_LAYOUTS.values()),
-                 "ldap/2009-12.csv", "ground_truth.txt"):
-        manifest.add_output(log_dir / name)
-    manifest.data["stats"]["synth"] = {"users": len(directory),
+    for path in corpus.paths:
+        manifest.add_output(path)
+    manifest.data["stats"]["synth"] = {"users": len(corpus.directory),
                                        "days": cfg["synth_n_days"]}
-    print(f"synth: wrote {len(directory)}-user corpus under {log_dir}")
+    print(f"synth: wrote {len(corpus.directory)}-user corpus under {log_dir}")
 
 
 def _parse_grid(text: str) -> list[tuple[str, list]]:

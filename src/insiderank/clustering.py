@@ -484,14 +484,23 @@ def _local_search(ctx: _GraspContext, members: set[int]) -> tuple[TwofoldCluster
         current, moves = better, moves + 1
 
 
-def _grasp_round(ctx: _GraspContext, iteration: int) -> tuple[TwofoldCluster | None, int, int]:
+def _grasp_round(
+    ctx: _GraspContext,
+    iteration: int,
+    searched: dict[frozenset[int], tuple[TwofoldCluster, int]],
+) -> tuple[TwofoldCluster | None, int, int]:
     """One round's cluster (None if growth found no valid set), growth steps
-    and local-search moves."""
+    and local-search moves.  ``searched`` holds the local-search result of
+    every grown set seen so far: the search draws no random numbers, so a set
+    grown again climbs to the same cluster in the same moves."""
     rng = np.random.default_rng((ctx.params.rng_seed, iteration))
     grown, steps = _grow(ctx, rng)
     if grown is None:
         return None, steps, 0
-    cluster, moves = _local_search(ctx, grown)
+    key = frozenset(grown)
+    if key not in searched:
+        searched[key] = _local_search(ctx, grown)
+    cluster, moves = searched[key]
     return cluster, steps, moves
 
 
@@ -506,7 +515,8 @@ def grasp_cluster(graph: AttributedGraph, params: ClusterParams) -> ClusteringRe
     if not ctx.seed_edges or params.grasp_iterations == 0:
         return ClusteringResult([], params)
 
-    found = [_grasp_round(ctx, it) for it in range(params.grasp_iterations)]
+    searched: dict[frozenset[int], tuple[TwofoldCluster, int]] = {}
+    found = [_grasp_round(ctx, it, searched) for it in range(params.grasp_iterations)]
 
     seen: set[tuple[int, ...]] = set()
     ordered: list[TwofoldCluster] = []
@@ -523,6 +533,8 @@ def grasp_cluster(graph: AttributedGraph, params: ClusterParams) -> ClusteringRe
         "admitted_clusters": len(admitted),
         "growth_steps": sum(steps for _, steps, _ in found),
         "local_search_moves": sum(moves for _, _, moves in found),
+        # valid rounds whose grown set an earlier round had already searched
+        "local_search_cache_hits": sum(c is not None for c, _, _ in found) - len(searched),
     }
     return ClusteringResult(admitted, params, stats)
 

@@ -14,12 +14,13 @@ ties) cross-checks every call and a disagreement beyond 1e-9 raises.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .clustering import ClusterParams
 from .ranking import N_VARIANTS, OutlierScoreTable
 
 __all__ = [
@@ -144,14 +145,22 @@ def write_distribution_csv(path: str | Path, series: Sequence[tuple[int, float]]
 
 def write_auc_summary_csv(
     path: str | Path,
-    rows: Sequence[tuple[str, int, int, Sequence[float]]],
+    rows: Sequence[tuple[str, ClusterParams, Sequence[float]]],
 ) -> None:
-    """Rows of (case label, n_min, s_min, AUC per score variant)."""
+    """Rows of (case label, cluster parameters, AUC per score variant).
+
+    Each row gives its case, n_min and s_min, then the AUCs; every other
+    cluster parameter whose value differs between rows, such as a swept
+    ``w``, follows in a column of its own.
+    """
+    varied = [f.name for f in fields(ClusterParams) if f.name not in ("n_min", "s_min")
+              and len({getattr(params, f.name) for _, params, _ in rows}) > 1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "n_min", "s_min"]
-                        + [f"score_{k}" for k in range(1, N_VARIANTS + 1)])
-        for case, n_min, s_min, aucs in rows:
+                        + [f"score_{k}" for k in range(1, N_VARIANTS + 1)] + varied)
+        for case, params, aucs in rows:
             if len(aucs) != N_VARIANTS:
                 raise ValueError(f"case {case}: expected {N_VARIANTS} AUC values, got {len(aucs)}")
-            writer.writerow([case, n_min, s_min] + [repr(float(a)) for a in aucs])
+            writer.writerow([case, params.n_min, params.s_min] + [repr(float(a)) for a in aucs]
+                            + [getattr(params, key) for key in varied])

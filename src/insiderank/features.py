@@ -14,26 +14,35 @@ organisational attributes.  Conventions, applied uniformly:
 * Categorical fields (role, functional unit, department, team) are coded as
   integers assigned in lexicographic order of the observed values.
 
-One ordered sequence of calls in ``_attribute_row`` builds a user's vector,
-and each call appends its columns' names and values together.
-``ATTRIBUTE_NAMES``, the canonical column order used by every artifact that
-serializes vectors, is the names of the row built from no events.
+Attributes are computed for every user at once, column by column, from the
+event tables of :mod:`insiderank.ingest`: :func:`group_by_user` orders the
+rows by user and event kind with a stable sort, and each statistic is a
+segment reduction over that order (``np.unique``, ``bincount``,
+``reduceat``).  Means add their values in event order with Python's
+``sum``, as a loop over the events would.  One ordered sequence of calls in
+``_attribute_columns`` builds the matrix, and each call appends its
+columns' names and values together.  ``ATTRIBUTE_NAMES``, the canonical
+column order used by every artifact that serializes vectors, is the names of
+the columns built for no users.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from datetime import datetime, time
+from datetime import date, datetime, time
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import LogEvent, OrgDirectory, _csv_rows
+from .ingest import (EVENT_KINDS, EventTable, LogEvent, OrgDirectory, _csv_rows, _distinct,
+                     _intern, _microseconds)
 
 __all__ = [
     "ATTRIBUTE_NAMES",
     "AttributeVector",
     "CalendarConfig",
+    "UserEvents",
     "attribute_matrix",
     "classify_hours",
     "decimal_hour",
@@ -49,6 +58,8 @@ _SCOPES = ("all", "bh", "ah")
 _STATS = ("max", "min", "avg")
 FILE_TYPES = ("doc", "exe", "jpg", "pdf", "txt", "zip")
 CATEGORICAL_FIELDS = ("role", "functional_unit", "department", "team")
+# More than any day ordinal: the radix that packs (user, day) into one key.
+_DAYS = date.max.toordinal() + 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,8 @@ class CalendarConfig:
     business_days: frozenset[int] = frozenset({0, 1, 2, 3, 4})
 
     def __post_init__(self) -> None:
+        if self.bh_start.tzinfo is not None or self.bh_end.tzinfo is not None:
+            raise ValueError("bh_start and bh_end must be local times without a UTC offset")
         if self.bh_start >= self.bh_end:
             raise ValueError("bh_start must precede bh_end")
         if not all(0 <= d <= 6 for d in self.business_days):
@@ -90,11 +103,26 @@ class AttributeVector:
             )
 
 
-def group_by_user(events: Iterable[LogEvent]) -> dict[str, list[LogEvent]]:
-    grouped: dict[str, list[LogEvent]] = {}
-    for event in events:
-        grouped.setdefault(event.user, []).append(event)
-    return grouped
+class UserEvents:
+    """Events grouped by user: ``table`` holds the events and ``users`` the
+    user ids in sorted order; ``user`` is each row's position in ``users``,
+    and ``order`` lists the rows by user, then event kind, then input order."""
+
+    def __init__(self, table: EventTable) -> None:
+        self.table = table
+        self.users = sorted(table.users)
+        position = {u: i for i, u in enumerate(self.users)}
+        self.user = np.array([position[u] for u in table.users], np.int64)[table.user]
+        self.order = np.lexsort((table.kind, self.user))
+
+
+def group_by_user(events: Iterable[EventTable] | Iterable[LogEvent]) -> UserEvents:
+    """Group the events of parsed logs (EventTables, say one per log file),
+    or a stream of LogEvents, by user."""
+    items = list(events)
+    if not all(isinstance(item, EventTable) for item in items):
+        items = [EventTable.from_events(items)]
+    return UserEvents(EventTable.concat(items))
 
 
 def encode_categoricals(directory: OrgDirectory) -> dict[str, dict[str, int]]:
@@ -106,27 +134,6 @@ def encode_categoricals(directory: OrgDirectory) -> dict[str, dict[str, int]]:
     return codes
 
 
-def _stats(values: Sequence[float]) -> tuple[float, float, float]:
-    if not values:
-        return (0.0, 0.0, 0.0)
-    return (float(max(values)), float(min(values)), float(sum(values)) / len(values))
-
-
-def _daily_counts(events: Sequence[LogEvent]) -> list[int]:
-    per_day: dict[object, int] = {}
-    for e in events:
-        key = e.timestamp.date()
-        per_day[key] = per_day.get(key, 0) + 1
-    return [per_day[d] for d in sorted(per_day)]
-
-
-def _daily_device_counts(events: Sequence[LogEvent]) -> list[int]:
-    per_day: dict[object, set[str]] = {}
-    for e in events:
-        per_day.setdefault(e.timestamp.date(), set()).add(e.pc)
-    return [len(per_day[d]) for d in sorted(per_day)]
-
-
 def _is_internal(address: str, internal_domain: str) -> bool:
     address = address.lower()
     if "@" not in address:
@@ -136,123 +143,175 @@ def _is_internal(address: str, internal_domain: str) -> bool:
     return domain == suffix or domain.endswith("." + suffix)
 
 
-def _scopes(events: Sequence[LogEvent], config: CalendarConfig):
-    """Each scope of _SCOPES with its events: all, business hours, after hours."""
-    in_bh: list[LogEvent] = []
-    in_ah: list[LogEvent] = []
-    for e in events:
-        (in_bh if classify_hours(e.timestamp, config) == "BH" else in_ah).append(e)
-    return tuple(zip(_SCOPES, (events, in_bh, in_ah)))
+def _file_type(filename: str) -> int:
+    """The position in FILE_TYPES of the file's extension, -1 for any other."""
+    ext = filename.rsplit(".", 1)[1].lower() if "." in filename else ""
+    return FILE_TYPES.index(ext) if ext in FILE_TYPES else -1
 
 
-def _hours(events: Sequence[LogEvent]) -> list[float]:
-    return [decimal_hour(e.timestamp) for e in events]
+def _stats(user: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Max, min and mean of ``values`` for each user 0..n-1, or zeros for a
+    user without values; ``user`` is ascending.  A mean adds its values in
+    row order with Python's ``sum``."""
+    out = np.zeros((n, 3))
+    if len(user):
+        starts = np.flatnonzero(np.diff(user, prepend=-1))
+        who = user[starts]
+        out[who, 0] = np.maximum.reduceat(values, starts)
+        out[who, 1] = np.minimum.reduceat(values, starts)
+        flat = values.tolist()
+        bounds = [*starts.tolist(), len(flat)]
+        out[who, 2] = [float(sum(flat[a:b])) / (b - a) for a, b in zip(bounds, bounds[1:])]
+    return out
 
 
-class _Row:
-    """One attribute vector under construction.  Every call appends the names
-    and the values of its columns together, so they cannot fall out of step."""
+def _count_distinct(user: np.ndarray, values: np.ndarray, radix: int, n: int) -> np.ndarray:
+    """How many distinct ``values`` (each below ``radix``) each user 0..n-1 has."""
+    return np.bincount(_distinct(user * radix + values) // radix, minlength=n)
 
-    def __init__(self) -> None:
+
+class _Columns:
+    """The attribute matrix of users 0..n-1, their positions in ``user_ids``,
+    under construction from the events of ``grouped`` in (user, kind)
+    order.  Every call appends the names and the values of its columns
+    together, so they cannot fall out of step."""
+
+    def __init__(self, grouped: UserEvents, user_ids: Sequence[str],
+                 config: CalendarConfig) -> None:
+        position = {u: i for i, u in enumerate(user_ids)}
+        t, order = grouped.table, grouped.order
+        self.n, self.table, self.order = len(user_ids), t, order
+        self.table_user = np.array([position[u] for u in grouped.users], np.int64)[grouped.user]
+        self.user = self.table_user[order]
+        self.kind, self.day, self.tod, self.pc = (c[order] for c in (t.kind, t.day, t.tod, t.pc))
+        # where classify_hours() says "BH"
+        self.bh = (np.isin(t.weekday()[order], sorted(config.business_days))
+                   & (self.tod >= _microseconds(config.bh_start))
+                   & (self.tod < _microseconds(config.bh_end)))
         self.names: list[str] = []
-        self.values: list[float] = []
+        self.values: list[np.ndarray] = []
 
-    def add(self, name: str, value: float) -> None:
+    def add(self, name: str, column: np.ndarray) -> None:
         self.names.append(name)
-        self.values.append(float(value))
+        self.values.append(np.asarray(column, dtype=np.float64))
 
-    def stats(self, prefix: str, values: Sequence[float]) -> None:
-        for stat, value in zip(_STATS, _stats(values)):
-            self.add(f"{prefix}_{stat}", value)
+    def stats(self, prefix: str, table: np.ndarray) -> None:
+        for stat, column in zip(_STATS, table.T):
+            self.add(f"{prefix}_{stat}", column)
 
-    def scoped(self, prefix: str, scopes, measure) -> None:
-        """The stats of ``measure(events)`` for each scope from :func:`_scopes`."""
-        for scope, events in scopes:
-            self.stats(f"{prefix}_{scope}", measure(events))
+    def scoped(self, prefix: str, rows: np.ndarray, measure) -> None:
+        """The stats of ``measure`` over ``rows`` in each scope."""
+        for scope, in_scope in self.scopes(rows):
+            self.stats(f"{prefix}_{scope}", measure(in_scope))
+
+    def of(self, *kinds: str) -> np.ndarray:
+        return np.isin(self.kind, [EVENT_KINDS.index(k) for k in kinds])
+
+    def scopes(self, rows: np.ndarray):
+        """Each scope of _SCOPES with its rows: all, business hours, after hours."""
+        return tuple(zip(_SCOPES, (rows, rows & self.bh, rows & ~self.bh)))
+
+    def summary(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """:func:`_stats` of ``values``, given for the selected rows."""
+        return _stats(self.user[rows], values, self.n)
+
+    def hours(self, rows: np.ndarray) -> np.ndarray:
+        tod = self.tod[rows]
+        return self.summary(rows, tod // 3_600_000_000 + tod // 60_000_000 % 60 / 60.0)
+
+    def daily_counts(self, rows: np.ndarray) -> np.ndarray:
+        days, counts = np.unique(self.user[rows] * _DAYS + self.day[rows], return_counts=True)
+        return _stats(days // _DAYS, counts, self.n)
+
+    def daily_devices(self, rows: np.ndarray) -> np.ndarray:
+        """Stats of the number of distinct machines per active day."""
+        days, day_of = np.unique(self.user[rows] * _DAYS + self.day[rows], return_inverse=True)
+        pcs = _count_distinct(day_of, self.pc[rows], max(len(self.table.pcs), 1), len(days))
+        return _stats(days // _DAYS, pcs, self.n)
+
+    def distinct(self, rows: np.ndarray, column: np.ndarray, radix: int) -> np.ndarray:
+        return _count_distinct(self.user[rows], column[rows], radix, self.n)
 
 
-def _attribute_row(
-    events: Sequence[LogEvent],
-    org_codes: Mapping[str, int],
-    config: CalendarConfig,
-    internal_domain: str,
-) -> _Row:
-    """The columns of one user's vector; ``org_codes`` maps each categorical
-    field to the user's code."""
-
-    def of(*kinds: str) -> list[LogEvent]:
-        return [e for e in events if e.kind in kinds]
-
-    row = _Row()
+def _attribute_columns(c: _Columns, org_codes: np.ndarray, internal_domain: str) -> _Columns:
+    """Fill ``c`` with the attribute columns; ``org_codes`` holds each
+    user's code for each categorical field."""
+    t, n = c.table, c.n
+    pcs = max(len(t.pcs), 1)
 
     # Email: recipient counts per field, size, attachments.
-    emails = of("email")
-    payloads = [e.payload for e in emails]
-    for box in ("to", "cc", "bcc"):
-        row.stats(f"email_recipients_{box}", [len(getattr(p, box)) for p in payloads])
-    row.stats("email_size", [p.size for p in payloads])
-    row.stats("email_attachments", [p.attachments for p in payloads])
-    row.scoped("emails_per_day", _scopes(emails, config), _daily_counts)
-    row.stats("email_send_time", _hours(emails))
-    row.add("email_device_count", len({e.pc for e in emails}))
-    row.add("email_address_count", len({p.sender.lower() for p in payloads if p.sender}))
-    internal: set[str] = set()
-    external: set[str] = set()
-    for p in payloads:
-        for addr in p.recipients():
-            (internal if _is_internal(addr, internal_domain) else external).add(addr.lower())
-    row.add("email_internal_contacts", len(internal))
-    row.add("email_external_contacts", len(external))
+    emails = c.of("email")
+    rows = c.order[emails]  # table rows of the emails, in (user, input) order
+    recipient_counts = np.diff(t.recipient_ptr).reshape(-1, 3)[rows]
+    for box, counts in zip(("to", "cc", "bcc"), recipient_counts.T):
+        c.stats(f"email_recipients_{box}", c.summary(emails, counts))
+    c.stats("email_size", c.summary(emails, t.size[rows]))
+    c.stats("email_attachments", c.summary(emails, t.attachments[rows]))
+    c.scoped("emails_per_day", emails, c.daily_counts)
+    c.stats("email_send_time", c.hours(emails))
+    c.add("email_device_count", c.distinct(emails, c.pc, pcs))
+    # addresses count case-insensitively: each is lowered and classified once
+    lowered: dict[str, int] = {}
+    lower = _intern([a.lower() for a in t.addresses], lowered)
+    internal = np.array([_is_internal(a, internal_domain) for a in lowered], bool)
+    radix = max(len(lowered), 1)
+    senders = lower[t.sender[rows]]
+    named = senders != lowered.get("", -1)
+    c.add("email_address_count",
+          _count_distinct(c.user[emails][named], senders[named], radix, n))
+    recipient_user = np.repeat(c.table_user, np.diff(t.recipient_ptr[::3]))
+    contacts = _distinct(recipient_user * radix + lower[t.recipients])
+    inside = internal[contacts % radix]
+    c.add("email_internal_contacts", np.bincount(contacts[inside] // radix, minlength=n))
+    c.add("email_external_contacts", np.bincount(contacts[~inside] // radix, minlength=n))
 
     # Organisational codes.
-    for fname in CATEGORICAL_FIELDS:
-        row.add(f"{fname}_code", org_codes[fname])
+    for fname, codes in zip(CATEGORICAL_FIELDS, org_codes.T):
+        c.add(f"{fname}_code", codes)
 
     # Logon / logoff behaviour.
-    logons = _scopes(of("logon"), config)
-    logoffs = _scopes(of("logoff"), config)
-    row.scoped("logon_time", logons, _hours)
-    row.scoped("logoff_time", logoffs, _hours)
-    row.scoped("logons_per_day", logons, _daily_counts)
-    row.scoped("logoffs_per_day", logoffs, _daily_counts)
-    row.stats("logon_devices_per_day", _daily_device_counts(of("logon", "logoff")))
+    logons, logoffs = c.of("logon"), c.of("logoff")
+    c.scoped("logon_time", logons, c.hours)
+    c.scoped("logoff_time", logoffs, c.hours)
+    c.scoped("logons_per_day", logons, c.daily_counts)
+    c.scoped("logoffs_per_day", logoffs, c.daily_counts)
+    c.stats("logon_devices_per_day", c.daily_devices(logons | logoffs))
 
     # Removable media; a "usage" is a connect event.
-    connects = _scopes(of("device_connect"), config)
-    device_events = of("device_connect", "device_disconnect")
-    row.scoped("usb_uses_per_day", connects, _daily_counts)
-    row.scoped("usb_use_time", connects, _hours)
-    row.add("usb_device_count", len({e.pc for e in device_events}))
-    row.stats("usb_devices_per_day", _daily_device_counts(device_events))
-    row.add("usb_active_days", len({e.timestamp.date() for e in device_events}))
+    connects = c.of("device_connect")
+    device_events = c.of("device_connect", "device_disconnect")
+    c.scoped("usb_uses_per_day", connects, c.daily_counts)
+    c.scoped("usb_use_time", connects, c.hours)
+    c.add("usb_device_count", c.distinct(device_events, c.pc, pcs))
+    c.stats("usb_devices_per_day", c.daily_devices(device_events))
+    c.add("usb_active_days", c.distinct(device_events, c.day, _DAYS))
 
     # File copies.
-    files = of("file_copy")
-    scoped_files = _scopes(files, config)
-    row.scoped("file_copy_time", scoped_files, _hours)
-    for scope, in_scope in scoped_files:
-        row.add(f"file_days_{scope}", len({e.timestamp.date() for e in in_scope}))
-    row.scoped("files_per_day", scoped_files, _daily_counts)
-    by_ext: dict[str, int] = {}
-    for e in files:
-        name = e.payload.filename
-        ext = name.rsplit(".", 1)[1].lower() if "." in name else ""
-        by_ext[ext] = by_ext.get(ext, 0) + 1
-    for ext in FILE_TYPES:
-        row.add(f"file_ratio_{ext}", by_ext.get(ext, 0) / len(files) if files else 0.0)
-    row.add("file_device_count", len({e.pc for e in files}))
-    return row
+    files = c.of("file_copy")
+    c.scoped("file_copy_time", files, c.hours)
+    for scope, in_scope in c.scopes(files):
+        c.add(f"file_days_{scope}", c.distinct(in_scope, c.day, _DAYS))
+    c.scoped("files_per_day", files, c.daily_counts)
+    file_types = np.array([_file_type(name) for name in t.filenames], np.int64)
+    file_type = file_types[t.filename[c.order[files]]]
+    file_user = c.user[files]
+    n_files = np.bincount(file_user, minlength=n)
+    for k, ext in enumerate(FILE_TYPES):
+        of_type = np.bincount(file_user[file_type == k], minlength=n)
+        c.add(f"file_ratio_{ext}", np.divide(of_type, n_files, out=np.zeros(n), where=n_files > 0))
+    c.add("file_device_count", c.distinct(files, c.pc, pcs))
+    return c
 
 
-ATTRIBUTE_NAMES: tuple[str, ...] = tuple(
-    _attribute_row((), dict.fromkeys(CATEGORICAL_FIELDS, 0), CalendarConfig(), "").names
-)
+ATTRIBUTE_NAMES: tuple[str, ...] = tuple(_attribute_columns(
+    _Columns(group_by_user(()), (), CalendarConfig()), np.zeros((0, len(CATEGORICAL_FIELDS))), ""
+).names)
 assert len(ATTRIBUTE_NAMES) == 125
 assert len(set(ATTRIBUTE_NAMES)) == 125
 
 
 def extract_attributes(
-    events_by_user: Mapping[str, Sequence[LogEvent]],
+    events_by_user: UserEvents | Mapping[str, Sequence[LogEvent]],
     directory: OrgDirectory,
     config: CalendarConfig | None = None,
     *,
@@ -260,21 +319,27 @@ def extract_attributes(
 ) -> list[AttributeVector]:
     """Build one AttributeVector per directory user, ordered by user id.
 
-    Users appearing in the event stream but not in the directory are an
-    error; directory users without events get the all-zero defaults.
+    ``events_by_user`` is :func:`group_by_user`'s result, or any mapping
+    from user id to that user's LogEvents.  Users appearing in the events
+    but not in the directory are an error; directory users without events
+    get the all-zero defaults.
     """
     config = config or CalendarConfig()
-    unknown = sorted(set(events_by_user) - set(directory.users))
+    users: set[str] = set()
+    if not isinstance(events_by_user, UserEvents):
+        users.update(events_by_user)
+        events_by_user = group_by_user(itertools.chain.from_iterable(events_by_user.values()))
+    unknown = sorted(users.union(events_by_user.users) - set(directory.users))
     if unknown:
         raise ValueError(f"events reference users absent from the directory: {unknown}")
     codes = encode_categoricals(directory)
-    vectors = []
-    for uid in directory.sorted_user_ids():
-        record = directory.users[uid]
-        org_codes = {f: codes[f][getattr(record, f)] for f in CATEGORICAL_FIELDS}
-        row = _attribute_row(events_by_user.get(uid, ()), org_codes, config, internal_domain)
-        vectors.append(AttributeVector(uid, np.asarray(row.values, dtype=np.float64)))
-    return vectors
+    user_ids = directory.sorted_user_ids()
+    org_codes = np.array([[codes[f][getattr(directory.users[uid], f)] for f in CATEGORICAL_FIELDS]
+                          for uid in user_ids]).reshape(len(user_ids), len(CATEGORICAL_FIELDS))
+    columns = _attribute_columns(_Columns(events_by_user, user_ids, config), org_codes,
+                                 internal_domain)
+    matrix = np.column_stack(columns.values)
+    return [AttributeVector(uid, row) for uid, row in zip(user_ids, matrix)]
 
 
 def attribute_matrix(vectors: Sequence[AttributeVector]) -> tuple[list[str], np.ndarray]:

@@ -23,7 +23,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import _is_internal, read_nodes_csv
-from .ingest import EmailPayload, LogEvent, OrgDirectory, RejectReport, _csv_rows
+from .ingest import (EMAIL, EventTable, LogEvent, OrgDirectory, RejectReport, _csv_rows,
+                     _distinct)
 
 __all__ = [
     "AttributedGraph",
@@ -33,6 +34,9 @@ __all__ = [
     "read_edges_csv",
     "write_edges_csv",
 ]
+
+# What an email address resolves to, besides a vertex index.
+_EXTERNAL, _UNRESOLVED = -1, -2
 
 
 class AttributedGraph:
@@ -105,17 +109,19 @@ class AttributedGraph:
 
 def build_graph(
     directory: OrgDirectory,
-    email_events: Iterable[LogEvent],
+    email_events: EventTable | Iterable[LogEvent],
     attributes: np.ndarray,
     attribute_names: Sequence[str],
     *,
     internal_domain: str = "dtaa.com",
     rejects: RejectReport | None = None,
 ) -> AttributedGraph:
-    """Assemble the graph from the directory and the email stream.
+    """Assemble the graph from the directory and the email events: a parsed
+    email log, or LogEvents (events of other kinds are skipped).
 
     ``attributes`` must be aligned with the directory users in sorted user-id
-    order (the order produced by feature extraction).
+    order (the order produced by feature extraction).  A rejected email is
+    numbered by its position among ``email_events``, counting from 1.
     """
     if rejects is None:
         rejects = RejectReport()
@@ -134,43 +140,42 @@ def build_graph(
         if a != b:
             edges.add((a, b) if a < b else (b, a))
 
-    for position, event in enumerate(email_events, start=1):
-        if event.kind != "email":
-            continue
-        payload = event.payload
-        assert isinstance(payload, EmailPayload)
-        addresses = (payload.sender,) + payload.recipients()
-        resolved: dict[str, str | None] = {}
-        bad: str | None = None
-        for addr in addresses:
-            if not _is_internal(addr, internal_domain):
-                resolved[addr] = None  # external: attribute material only
-                continue
-            uid = address_book.get(addr.lower())
-            if uid is None:
-                bad = addr
-                break
-            resolved[addr] = uid
-        if bad is not None:
-            rejects.add(
-                "<email-events>",
-                position,
-                f"event {event.event_id!r}: internal address {bad!r} does not "
-                f"resolve to a directory user",
-                "unresolved address",
-            )
-            continue
-        sender_uid = resolved.get(payload.sender)
-        if sender_uid is None:
-            continue  # external sender: no anchor vertex, no edges
-        s = index[sender_uid]
-        for addr in payload.recipients():
-            uid = resolved[addr]
-            if uid is None:
-                continue
-            r = index[uid]
-            if r != s:
-                edges.add((s, r) if s < r else (r, s))
+    table = (email_events if isinstance(email_events, EventTable)
+             else EventTable.from_events(email_events))
+
+    def resolve(address: str) -> int:
+        if not _is_internal(address, internal_domain):
+            return _EXTERNAL  # attribute material only
+        uid = address_book.get(address.lower())
+        return _UNRESOLVED if uid is None else index[uid]
+
+    # each distinct address is resolved once
+    vertex = np.array([resolve(a) for a in table.addresses], np.int64)
+    emails = table.kind == EMAIL
+    sender = np.full(len(table), _EXTERNAL)
+    sender[emails] = vertex[table.sender[emails]]
+    ends = table.recipient_ptr[::3]
+    row = np.repeat(np.arange(len(table)), np.diff(ends))  # the email of each recipient
+    recipient = vertex[table.recipients]
+    bad = sender == _UNRESOLVED
+    bad[row[recipient == _UNRESOLVED]] = True
+    for i in np.flatnonzero(bad).tolist():
+        # the first unresolved address, in the order sender, to, cc, bcc
+        codes = [table.sender[i], *table.recipients[ends[i]:ends[i + 1]].tolist()]
+        address = next(table.addresses[c] for c in codes if vertex[c] == _UNRESOLVED)
+        rejects.add(
+            "<email-events>",
+            i + 1,
+            f"event {table.ids[i]!r}: internal address {address!r} does not "
+            f"resolve to a directory user",
+            "unresolved address",
+        )
+    # an external sender anchors no edges
+    s = sender[row]
+    linked = ~bad[row] & (s >= 0) & (recipient >= 0) & (recipient != s)
+    n = max(len(user_ids), 1)
+    pairs = _distinct(np.minimum(s, recipient)[linked] * n + np.maximum(s, recipient)[linked])
+    edges.update(zip((pairs // n).tolist(), (pairs % n).tolist()))
 
     return AttributedGraph(user_ids, edges, attributes, attribute_names)
 

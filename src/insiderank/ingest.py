@@ -8,6 +8,12 @@ each event kind.  The parser, :func:`write_log_file`, the synthetic corpus
 generator and the CLI all read it.  The free-text ``content`` column of
 email.csv and file.csv is never parsed.
 
+A parsed log is an :class:`EventTable`: one numpy column per field, with
+users, machines, email addresses and file names interned into code tables.
+The parser reads a batch of CSV rows at a time and turns each batch into
+columns; zero-padded timestamps are decoded for the whole batch in one numpy
+pass, and any other string is left to :func:`parse_timestamp`.
+
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
 Malformed rows never abort a parse: they are recorded in a
@@ -22,18 +28,22 @@ LDAP-style directory snapshots (one CSV per month) are merged into an
 from __future__ import annotations
 
 import csv
+import itertools
 import operator
 import re
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime, time
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "EVENT_KINDS",
     "FILE_KINDS",
     "LOG_LAYOUTS",
     "EmailPayload",
+    "EventTable",
     "FilePayload",
     "LogEvent",
     "LogLayout",
@@ -55,7 +65,7 @@ TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M:%S"
 # other string (unpadded, non-ASCII digits, extra spaces) goes to strptime.
 _FIXED_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
-# Event kinds carried by LogEvent.kind.
+# Event kinds carried by LogEvent.kind; EventTable.kind holds their positions.
 EVENT_KINDS = (
     "logon",
     "logoff",
@@ -64,6 +74,12 @@ EVENT_KINDS = (
     "email",
     "file_copy",
 )
+_KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+EMAIL, FILE_COPY = _KIND_CODE["email"], _KIND_CODE["file_copy"]
+
+# CSV rows turned into columns at a time: only one batch of rows, with its
+# free-text content fields, is held at once.
+_BATCH_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -125,6 +141,184 @@ class LogEvent:
     pc: str
     kind: str
     payload: EmailPayload | FilePayload | None = None
+
+
+def _microseconds(t: datetime | time) -> int:
+    """Microseconds since midnight."""
+    return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+
+
+def _intern(values: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """The code of each value in ``index``, which gains the values it lacks
+    (numbered in order of first appearance)."""
+    for value in dict.fromkeys(values):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, values), np.int32, len(values))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of non-negative integers, ascending:
+    ``np.unique(keys)`` without its masked-array test, which imports
+    ``numpy.ma`` (with numpy 2.4, about 2 MB and 15 ms in every process
+    that calls it)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _recode(codes: np.ndarray, strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """``codes`` into ``strings`` as codes into ``index``; -1 stays -1."""
+    lookup = np.array([*(index.setdefault(s, len(index)) for s in strings), -1], np.int32)
+    return lookup[codes]  # code -1 picks the trailing -1
+
+
+@dataclass(eq=False)
+class EventTable:
+    """Events of one or more activity logs, one numpy column per field.
+
+    Strings are interned: ``user``, ``pc``, ``sender``, ``recipients`` and
+    ``filename`` hold codes into ``users``, ``pcs``, ``addresses`` and
+    ``filenames``.  A timestamp is split into ``day``, its
+    ``date.toordinal()``, and ``tod``, microseconds since midnight; ``kind``
+    holds positions in EVENT_KINDS.  The to, cc and bcc addresses of row
+    ``i`` are ``recipients[recipient_ptr[3*i]:recipient_ptr[3*i+1]]`` and
+    the two slices after it (CSR layout).  Rows that are not emails have
+    sender -1 and no recipients, size and attachments 0; rows that are not
+    file copies have filename -1.
+
+    Iterating and indexing yield :class:`LogEvent` objects, and two tables
+    (or a table and a list of LogEvents) compare equal when they hold the
+    same events in the same order: an adapter for callers that take events
+    one at a time.
+    """
+
+    ids: list[str]
+    user: np.ndarray
+    users: list[str]
+    day: np.ndarray
+    tod: np.ndarray
+    kind: np.ndarray
+    pc: np.ndarray
+    pcs: list[str]
+    sender: np.ndarray | None = None
+    recipient_ptr: np.ndarray | None = None
+    recipients: np.ndarray | None = None
+    addresses: list[str] = field(default_factory=list)
+    size: np.ndarray | None = None
+    attachments: np.ndarray | None = None
+    filename: np.ndarray | None = None
+    filenames: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        if self.sender is None:
+            self.sender = np.full(n, -1, np.int32)
+        if self.recipient_ptr is None:
+            self.recipient_ptr = np.zeros(3 * n + 1, np.int64)
+        if self.recipients is None:
+            self.recipients = np.empty(0, np.int32)
+        if self.size is None:
+            self.size = np.zeros(n, np.int64)
+        if self.attachments is None:
+            self.attachments = np.zeros(n, np.int64)
+        if self.filename is None:
+            self.filename = np.full(n, -1, np.int32)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def weekday(self) -> np.ndarray:
+        """Each row's ``datetime.weekday()``: Monday is 0."""
+        return (self.day + 6) % 7
+
+    def __getitem__(self, i: int) -> LogEvent:
+        i = range(len(self))[i]
+        seconds, micro = divmod(int(self.tod[i]), 1_000_000)
+        minutes, second = divmod(seconds, 60)
+        timestamp = datetime.combine(date.fromordinal(int(self.day[i])),
+                                     time(minutes // 60, minutes % 60, second, micro))
+        kind = EVENT_KINDS[self.kind[i]]
+        payload: EmailPayload | FilePayload | None = None
+        if kind == "email":
+            ends = self.recipient_ptr[3 * i:3 * i + 4].tolist()
+            to, cc, bcc = (tuple(self.addresses[c] for c in self.recipients[a:b].tolist())
+                           for a, b in zip(ends, ends[1:]))
+            payload = EmailPayload(self.addresses[self.sender[i]], to, cc, bcc,
+                                   int(self.size[i]), int(self.attachments[i]))
+        elif kind == "file_copy":
+            payload = FilePayload(self.filenames[self.filename[i]])
+        return LogEvent(self.ids[i], timestamp, self.users[self.user[i]], self.pcs[self.pc[i]],
+                        kind, payload)
+
+    def __iter__(self) -> Iterator[LogEvent]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventTable, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @classmethod
+    def from_events(cls, events: Iterable[LogEvent]) -> EventTable:
+        """The table of ``events``, in their order."""
+        events = list(events)
+        unknown = sorted({e.kind for e in events} - set(EVENT_KINDS))
+        if unknown:
+            raise ValueError(f"unknown event kind(s) {unknown}; expected one of {EVENT_KINDS}")
+        users: dict[str, int] = {}
+        pcs: dict[str, int] = {}
+        addresses: dict[str, int] = {}
+        filenames: dict[str, int] = {}
+        kind = np.array([_KIND_CODE[e.kind] for e in events], np.int8)
+        stamps = [e.timestamp for e in events]
+        table = cls(
+            [e.event_id for e in events], _intern([e.user for e in events], users), [],
+            np.array([t.toordinal() for t in stamps], np.int32),
+            np.array([_microseconds(t) for t in stamps], np.int64),
+            kind, _intern([e.pc for e in events], pcs), [],
+        )
+        is_email = kind == EMAIL
+        emails = [e.payload for e in events if e.kind == "email"]
+        table.sender[is_email] = _intern([p.sender for p in emails], addresses)
+        counts = np.zeros((len(events), 3), np.int64)
+        counts[is_email] = np.array([(len(p.to), len(p.cc), len(p.bcc)) for p in emails],
+                                    np.int64).reshape(-1, 3)
+        table.recipient_ptr[1:] = np.cumsum(counts.ravel())
+        table.recipients = _intern([a for p in emails for a in p.recipients()], addresses)
+        sizes = _int_array([p.size for p in emails]), _int_array([p.attachments for p in emails])
+        table.size, table.attachments = (np.zeros(len(events), a.dtype) for a in sizes)
+        table.size[is_email], table.attachments[is_email] = sizes
+        table.filename[kind == FILE_COPY] = _intern(
+            [e.payload.filename for e in events if e.kind == "file_copy"], filenames)
+        table.users, table.pcs = list(users), list(pcs)
+        table.addresses, table.filenames = list(addresses), list(filenames)
+        return table
+
+    @classmethod
+    def concat(cls, tables: Sequence[EventTable]) -> EventTable:
+        """One table holding the rows of ``tables`` in order."""
+        if len(tables) <= 1:
+            return tables[0] if tables else cls.from_events(())
+        index: dict[str, dict[str, int]] = {"users": {}, "pcs": {}, "addresses": {},
+                                            "filenames": {}}
+
+        def joined(column: str, strings: str | None = None) -> np.ndarray:
+            parts = [getattr(t, column) for t in tables]
+            if strings is not None:
+                parts = [_recode(p, getattr(t, strings), index[strings])
+                         for p, t in zip(parts, tables)]
+            return np.concatenate(parts)
+
+        ptr = [np.zeros(1, np.int64)]
+        for t in tables:
+            ptr.append(t.recipient_ptr[1:] + ptr[-1][-1])
+        return cls(
+            list(itertools.chain.from_iterable(t.ids for t in tables)),
+            joined("user", "users"), list(index["users"]),
+            joined("day"), joined("tod"), joined("kind"), joined("pc", "pcs"),
+            list(index["pcs"]), joined("sender", "addresses"), np.concatenate(ptr),
+            joined("recipients", "addresses"), list(index["addresses"]), joined("size"),
+            joined("attachments"), joined("filename", "filenames"), list(index["filenames"]),
+        )
 
 
 @dataclass
@@ -196,6 +390,13 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str
         raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
 
 
+def _csv_batches(lines: Iterable[str], source: str) -> Iterator[list[tuple[int, list[str]]]]:
+    """The pairs of :func:`_csv_rows` in lists of up to _BATCH_ROWS."""
+    rows = _csv_rows(lines, source)
+    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
+        yield batch
+
+
 def parse_timestamp(text: str) -> datetime:
     """``datetime.strptime(text, TIMESTAMP_FORMAT)``, with a fast path for
     the fixed-width layout; both raise ValueError for the same strings."""
@@ -206,8 +407,184 @@ def parse_timestamp(text: str) -> datetime:
     return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second))
 
 
-def _split_addresses(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(";") if part.strip())
+# Character positions of MM/DD/YYYY HH:MM:SS: the digits, and the separators.
+_DIGIT_AT = [0, 1, 3, 4, 6, 7, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATOR_AT = [2, 5, 10, 13, 16]
+_SEPARATORS = np.array([ord(c) for c in "// ::"], np.uint32)
+# Days in a common year before each month; the last entry is the whole year.
+_DAYS_BEFORE = np.cumsum([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _timestamp_columns(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Day ordinal, microseconds since midnight, and whether the stamp is a
+    valid timestamp, for each string in ``stamps``.
+
+    Zero-padded ASCII stamps are decoded and range-checked together;
+    :func:`parse_timestamp` decides every string that pass does not accept,
+    so the valid strings and their values are exactly parse_timestamp's.
+    """
+    n = len(stamps)
+    # strings longer than 19 are cut here, but their length rules them out
+    chars = np.array(stamps, dtype="U19").view(np.uint32).reshape(n, 19)
+    d = chars.T[_DIGIT_AT].astype(np.int64) - ord("0")  # one row per digit
+    month, dom, hour, minute, second = (d[i] * 10 + d[i + 1] for i in (0, 2, 8, 10, 12))
+    year = ((d[4] * 10 + d[5]) * 10 + d[6]) * 10 + d[7]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.clip(month, 1, 12)
+    ok = ((np.fromiter(map(len, stamps), np.int64, n) == 19)
+          & ((d >= 0) & (d <= 9)).all(axis=0)
+          & (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
+          & (month == m) & (year >= 1) & (dom >= 1)
+          & (dom <= _DAYS_BEFORE[m] - _DAYS_BEFORE[m - 1] + (leap & (m == 2)))
+          & (hour < 24) & (minute < 60) & (second < 60))
+    # date.toordinal(): days before the year, before the month, and the day
+    y = year - 1
+    day = np.where(ok, y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE[m - 1]
+                   + (leap & (m > 2)) + dom, 0).astype(np.int32)
+    tod = np.where(ok, ((hour * 60 + minute) * 60 + second) * 1_000_000, 0)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            parsed = parse_timestamp(stamps[i])
+        except ValueError:
+            continue
+        ok[i] = True
+        day[i] = parsed.toordinal()
+        tod[i] = _microseconds(parsed)
+    return day, tod, ok
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """int64, or Python ints in an object array when one does not fit."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def _integers(values: Sequence[str]) -> tuple[list[int], np.ndarray]:
+    """``int(v)`` for each value (0 where int() refuses it), and where it accepts."""
+    try:
+        return list(map(int, values)), np.ones(len(values), bool)
+    except ValueError:
+        pass
+    parsed, ok = [], []
+    for value in values:
+        try:
+            parsed.append(int(value))
+            ok.append(True)
+        except ValueError:
+            parsed.append(0)
+            ok.append(False)
+    return parsed, np.array(ok, bool)
+
+
+def _address_lists(fields: Sequence[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``;``-separated addresses of each field, in CSR form: how many
+    each field has, and their codes in ``index`` (which gains new ones).
+    Each distinct field is split once."""
+    distinct = {f: i for i, f in enumerate(dict.fromkeys(fields))}
+    lists = [[index.setdefault(a, len(index)) for a in map(str.strip, f.split(";")) if a]
+             for f in distinct]
+    lengths = np.array([len(codes) for codes in lists], np.int64)
+    codes = np.fromiter(itertools.chain.from_iterable(lists), np.int32, int(lengths.sum()))
+    which = np.fromiter(map(distinct.__getitem__, fields), np.int64, len(fields))
+    counts = lengths[which]
+    ends = np.cumsum(counts)
+    offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    return counts, codes[np.repeat((np.cumsum(lengths) - lengths)[which], counts) + offsets]
+
+
+class _BatchParser:
+    """Turns batches of one log's CSV rows into event tables."""
+
+    def __init__(self, kind: str, positions: list[int]) -> None:
+        self.kind = kind
+        self.kind_of = {activity.lower(): _KIND_CODE[k]
+                        for k, activity in LOG_LAYOUTS[kind].activities.items()}
+        self.fields = [operator.itemgetter(p) for p in positions]
+        self.width = max(positions) + 1
+
+    def parse(self, batch: list[tuple[int, list[str]]]
+              ) -> tuple[EventTable | None, list[tuple[int, str, str]]]:
+        """The table of the rows of a batch of (line number, row) pairs
+        that hold a valid event, and (line, reason, class) for each other
+        non-empty row, in line order."""
+        width = self.width
+        rejected = []
+        lines, rows = zip(*batch) if batch else ((), ())
+        if rows and min(map(len, rows)) < width:
+            rejected = [(line, f"expected at least {width} fields, got {len(row)}", "short row")
+                        for line, row in batch if 0 < len(row) < width]
+            kept = [(line, row) for line, row in batch if len(row) >= width]
+            lines, rows = zip(*kept) if kept else ((), ())
+        if not rows:
+            return None, rejected
+        # the required columns, in LOG_LAYOUTS order
+        event_id, stamp, user, pc, *rest = (list(map(str.strip, map(get, rows)))
+                                            for get in self.fields)
+        day, tod, timed = _timestamp_columns(stamp)
+        named = np.fromiter(map(bool, user), bool, len(user))
+        rest, valid, why = self.check(rest)
+        keep = timed & named & valid
+        for i in np.flatnonzero(~keep).tolist():
+            if not timed[i]:
+                rejected.append((lines[i], f"bad timestamp {stamp[i]!r}", "bad timestamp"))
+            elif not named[i]:
+                rejected.append((lines[i], "empty user", "empty user"))
+            else:
+                rejected.append((lines[i], *why(i)))
+        rejected.sort()
+        if not keep.all():
+            kept = np.flatnonzero(keep).tolist()
+            if not kept:
+                return None, rejected
+            event_id, user, pc, *rest = ([column[i] for i in kept]
+                                         for column in (event_id, user, pc, *rest))
+            day, tod = day[keep], tod[keep]
+        users: dict[str, int] = {}
+        pcs: dict[str, int] = {}
+        table = EventTable(event_id, _intern(user, users), list(users), day, tod,
+                           pc=_intern(pc, pcs), pcs=list(pcs), **self.payload(rest))
+        return table, rejected
+
+    def check(self, rest: list[list[str]]):
+        """The columns after id, date, user and pc with activities as kind
+        codes and sizes as integers; which rows they allow; and the reject
+        reason and class of a row they refuse."""
+        if self.kind_of:
+            (activity,) = rest
+            codes = {a: self.kind_of.get(a.lower(), -1) for a in dict.fromkeys(activity)}
+            kind = list(map(codes.__getitem__, activity))
+            return ([kind], np.array(kind) >= 0,
+                    lambda i: (f"unknown activity {activity[i]!r}", "unknown activity"))
+        if self.kind == "email":
+            *addresses, size, attachments = rest
+            (size, sized), (attachments, counted) = _integers(size), _integers(attachments)
+            return ([*addresses, size, attachments], sized & counted,
+                    lambda i: ("non-integer size or attachments", "non-integer size"))
+        (filename,) = rest
+        return (rest, np.fromiter(map(bool, filename), bool, len(filename)),
+                lambda i: ("empty filename", "empty filename"))
+
+    def payload(self, rest: list[list]) -> dict[str, object]:
+        """The kind and payload columns of checked, accepted rows, as
+        EventTable fields."""
+        if self.kind_of:
+            return {"kind": np.array(rest[0], np.int8)}
+        n = len(rest[0])
+        if self.kind == "email":
+            to, cc, bcc, sender, size, attachments = rest
+            fields: list[str] = [""] * (3 * n)
+            fields[0::3], fields[1::3], fields[2::3] = to, cc, bcc
+            addresses: dict[str, int] = {}
+            counts, recipients = _address_lists(fields, addresses)
+            return {"kind": np.full(n, EMAIL, np.int8), "sender": _intern(sender, addresses),
+                    "recipient_ptr": np.concatenate(([0], np.cumsum(counts))),
+                    "recipients": recipients, "addresses": list(addresses),
+                    "size": _int_array(size), "attachments": _int_array(attachments)}
+        filenames: dict[str, int] = {}
+        return {"kind": np.full(n, FILE_COPY, np.int8),
+                "filename": _intern(rest[0], filenames), "filenames": list(filenames)}
 
 
 def parse_log_file(
@@ -216,73 +593,30 @@ def parse_log_file(
     *,
     source: str = "<stream>",
     rejects: RejectReport | None = None,
-) -> list[LogEvent]:
-    """Parse one activity CSV into LogEvents.
+) -> EventTable:
+    """Parse one activity CSV into an :class:`EventTable`.
 
     ``kind`` is one of ``logon``, ``device``, ``email``, ``file``.  Rows that
     cannot be parsed are appended to ``rejects`` and skipped; a header that
     does not carry the expected columns raises :class:`SchemaError`.
     """
-    layout = _layout(kind)
-    kind_of = {activity.lower(): k for k, activity in layout.activities.items()}
+    _layout(kind)
     if rejects is None:
         rejects = RejectReport()
-
-    rows = _csv_rows(lines, source)
-    try:
-        _, raw_header = next(rows)
-    except StopIteration:
+    batches = _csv_batches(lines, source)
+    first = next(batches, None)
+    if first is None:
         raise SchemaError(f"{source}: empty file, expected a {kind} header")
-    positions = _header_positions(raw_header, kind)
-    width = max(positions) + 1
-    required = operator.itemgetter(*positions)
-
-    events: list[LogEvent] = []
-    for line, row in rows:
-        if not row:
-            continue
-        if len(row) < width:
-            rejects.add(source, line, f"expected at least {width} fields, got {len(row)}",
-                        "short row")
-            continue
-        # the required columns, in LOG_LAYOUTS order
-        event_id, stamp, user, pc, *rest = map(str.strip, required(row))
-        try:
-            timestamp = parse_timestamp(stamp)
-        except ValueError:
-            rejects.add(source, line, f"bad timestamp {stamp!r}", "bad timestamp")
-            continue
-        if not user:
-            rejects.add(source, line, "empty user", "empty user")
-            continue
-
-        if kind_of:
-            (activity,) = rest
-            event_kind = kind_of.get(activity.lower())
-            if event_kind is None:
-                rejects.add(source, line, f"unknown activity {activity!r}", "unknown activity")
-                continue
-            events.append(LogEvent(event_id, timestamp, user, pc, event_kind))
-        elif kind == "email":
-            to, cc, bcc, sender, size, attachments = rest
-            try:
-                size, attachments = int(size), int(attachments)
-            except ValueError:
-                rejects.add(source, line, "non-integer size or attachments",
-                            "non-integer size")
-                continue
-            payload = EmailPayload(sender, _split_addresses(to), _split_addresses(cc),
-                                   _split_addresses(bcc), size, attachments)
-            events.append(LogEvent(event_id, timestamp, user, pc, "email", payload))
-        else:  # file
-            (filename,) = rest
-            if not filename:
-                rejects.add(source, line, "empty filename", "empty filename")
-                continue
-            events.append(
-                LogEvent(event_id, timestamp, user, pc, "file_copy", FilePayload(filename))
-            )
-    return events
+    (_, raw_header), *first = first
+    parser = _BatchParser(kind, _header_positions(raw_header, kind))
+    tables = []
+    for batch in itertools.chain([first], batches):
+        table, rejected = parser.parse(batch)
+        for line, reason, cls in rejected:
+            rejects.add(source, line, reason, cls)
+        if table is not None:
+            tables.append(table)
+    return EventTable.concat(tables)
 
 
 def read_log_csv(
@@ -290,13 +624,13 @@ def read_log_csv(
     kind: str,
     *,
     rejects: RejectReport | None = None,
-) -> list[LogEvent]:
+) -> EventTable:
     path = Path(path)
     with open(path, newline="") as fh:
         return parse_log_file(fh, kind, source=path.name, rejects=rejects)
 
 
-def write_log_file(path: str | Path, events: Sequence[LogEvent], kind: str) -> None:
+def write_log_file(path: str | Path, events: Iterable[LogEvent], kind: str) -> None:
     """Serialize events back to the canonical CSV layout for ``kind``.
 
     Inverse of :func:`parse_log_file` for valid rows; the free-text content

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .ingest import (
 __all__ = [
     "GAMMA_FLOOR",
     "PlantedCluster",
+    "SynthCorpus",
     "SynthSpec",
     "generate_attributed_graph",
     "generate_attributed_graph_detailed",
@@ -285,6 +286,13 @@ def _at(day: date, decimal_hour: float) -> datetime:
     return base + timedelta(seconds=int(decimal_hour * 3600))
 
 
+class SynthCorpus(NamedTuple):
+    """What :func:`generate_logs` wrote: the users, and every file."""
+
+    directory: OrgDirectory
+    paths: tuple[Path, ...]
+
+
 def generate_logs(
     spec: SynthSpec,
     calendar: CalendarConfig,
@@ -293,11 +301,12 @@ def generate_logs(
     n_days: int = 20,
     start_date: date = date(2010, 1, 4),
     silent_users: Iterable[str] = (),
-) -> OrgDirectory:
+) -> SynthCorpus:
     """Write a synthetic log corpus reflecting the spec's planted structure.
 
     Emits logon/device/email/file CSVs, an LDAP snapshot directory and
-    ground_truth.txt under out_dir.  Group members share an activity profile
+    ground_truth.txt under out_dir, and returns the directory of users with
+    the paths of the files written.  Group members share an activity profile
     and email each other (reproducing the planted communities as graph
     edges); outliers follow their host group's profile but add heavy
     after-hours logons.  Users listed in silent_users emit no events at all.
@@ -424,12 +433,15 @@ def generate_logs(
     def pc_of(uid: str) -> str:
         return f"PC-{int(uid[1:]):04d}"
 
+    paths = []
     for kind, rows, prefix in (("logon", logons, "L"), ("device", devices, "D"),
                                ("email", emails, "M"), ("file", files, "F")):
         rows.sort(key=lambda r: (r[0], r[1]))
         events = [LogEvent(f"{prefix}{k + 1:06d}", ts, uid, pc_of(uid), event_kind, payload)
                   for k, (ts, _, uid, event_kind, payload) in enumerate(rows)]
-        write_log_file(out / LOG_LAYOUTS[kind].file_name, events, kind)
-    write_directory_csv(out / "ldap" / "2009-12.csv", directory)
-    write_ground_truth(out / "ground_truth.txt", truth)
-    return directory
+        paths.append(out / LOG_LAYOUTS[kind].file_name)
+        write_log_file(paths[-1], events, kind)
+    snapshot, truth_path = out / "ldap" / "2009-12.csv", out / "ground_truth.txt"
+    write_directory_csv(snapshot, directory)
+    write_ground_truth(truth_path, truth)
+    return SynthCorpus(directory, (*paths, snapshot, truth_path))

@@ -1,8 +1,9 @@
 """Exact-equivalence oracle for the attribute layout.
 
 ``_build_names`` and ``_user_vector`` below are the attribute code that
-wrote the 125 column names and the values in two separate lists, kept
-verbatim.  ``features._attribute_row`` appends each column's name and value
+wrote the 125 column names and the values in two separate lists, one event
+at a time, kept verbatim.  ``features._attribute_columns`` computes every
+user's values column by column and appends each column's name and values
 together; its names must equal the reference names, and every vector must
 match the reference bit for bit.
 """
@@ -236,9 +237,14 @@ def _directory(n):
     })
 
 
-def assert_same_vectors(events_by_user, directory, config=CalendarConfig(), domain=DOMAIN):
+def assert_same_vectors(grouped, events, directory, config=CalendarConfig(), domain=DOMAIN):
+    """``grouped`` is group_by_user's grouping of the LogEvents ``events``,
+    which the reference gets grouped by user in their order."""
+    events_by_user = {}
+    for e in events:
+        events_by_user.setdefault(e.user, []).append(e)
     want = reference_vectors(events_by_user, directory, config, domain)
-    got = extract_attributes(events_by_user, directory, config, internal_domain=domain)
+    got = extract_attributes(grouped, directory, config, internal_domain=domain)
     assert [v.user for v in got] == list(want)
     for v in got:
         assert v.values.dtype == np.float64
@@ -300,14 +306,14 @@ def test_attribute_names_match_the_reference():
 def test_vectors_match_the_reference_on_every_kind_of_event(seed):
     directory = _directory(5)
     events = every_kind_events(seed, ["U1", "U2", "U3", "U4"], 400)  # U5 has no events
-    assert_same_vectors(group_by_user(events), directory)
+    assert_same_vectors(group_by_user(events), events, directory)
 
 
 def test_vectors_match_the_reference_under_a_custom_calendar_and_domain():
     directory = _directory(3)
-    events = group_by_user(every_kind_events(9, ["U1", "U2", "U3"], 300))
+    events = every_kind_events(9, ["U1", "U2", "U3"], 300)
     weekend_shift = CalendarConfig(time(9, 30), time(18, 0), frozenset({5, 6}))
-    assert_same_vectors(events, directory, weekend_shift, "EVIL.org")
+    assert_same_vectors(group_by_user(events), events, directory, weekend_shift, "EVIL.org")
 
 
 def test_vectors_match_the_reference_on_a_synthetic_corpus(tmp_path):
@@ -315,16 +321,17 @@ def test_vectors_match_the_reference_on_a_synthetic_corpus(tmp_path):
                      p_in=0.9, p_out=0.05, n_attributes=40, width=0.05, n_outliers=10,
                      rng_seed=1)
     generate_logs(spec, CalendarConfig(), tmp_path, n_days=60)
-    events = [e for kind in FILE_KINDS
-              for e in read_log_csv(tmp_path / LOG_LAYOUTS[kind].file_name, kind)]
+    # grouped as the pipeline groups its parsed logs, one table per log
+    tables = [read_log_csv(tmp_path / LOG_LAYOUTS[kind].file_name, kind) for kind in FILE_KINDS]
+    events = [e for table in tables for e in table]
     assert len(events) > 50_000
-    assert_same_vectors(group_by_user(events), load_ldap_snapshots(tmp_path / "ldap"))
+    assert_same_vectors(group_by_user(tables), events, load_ldap_snapshots(tmp_path / "ldap"))
 
 
 def test_a_row_of_every_kind_of_event_has_the_canonical_names():
     events = every_kind_events(3, ["U1"], 200)
     assert {e.kind for e in events} == set(KINDS)
-    org_codes: Mapping[str, int] = dict.fromkeys(CATEGORICAL_FIELDS, 1)
-    row = features._attribute_row(events, org_codes, CalendarConfig(), DOMAIN)
-    assert tuple(row.names) == features.ATTRIBUTE_NAMES
-    assert len(row.values) == len(row.names)
+    columns = features._Columns(group_by_user(events), ["U1"], CalendarConfig())
+    features._attribute_columns(columns, np.ones((1, len(CATEGORICAL_FIELDS))), DOMAIN)
+    assert tuple(columns.names) == features.ATTRIBUTE_NAMES
+    assert len(columns.values) == len(columns.names)

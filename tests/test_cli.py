@@ -161,6 +161,16 @@ def test_invalid_config_diagnostics(tmp_path, capsys):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+def test_calendar_times_with_a_utc_offset_are_refused(tmp_path, capsys):
+    for offsets in ({"bh_start": "08:00+01:00"},
+                    {"bh_start": "08:00+01:00", "bh_end": "17:00+01:00"}):
+        config = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "o"), **offsets)
+        assert main(["synth", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: calendar: "), err
+        assert err.count("\n") == 1, err
+
+
 def test_config_types_follow_defaults(tmp_path, capsys):
     out = str(tmp_path / "o")
     accepted = {"w": 0, "log_dir": str(tmp_path), "ground_truth": None}
@@ -256,12 +266,23 @@ def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):
     out = tmp_path / "out"
     with open(out / "auc_summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
+    assert rows[0] == ["case", "n_min", "s_min", *(f"score_{k}" for k in range(1, 7))]
     assert [r[0] for r in rows[1:]] == ["A", "B", "C", "D"]
     assert [(int(r[1]), int(r[2])) for r in rows[1:]] == [(3, 2), (3, 3), (4, 2), (4, 3)]
     for label in ("A", "B", "C", "D"):
         case = out / "cases" / label
         for name in ("clusters.jsonl", "scores.csv", "roc.1.csv", "auc_summary.csv"):
             assert (case / name).exists(), (label, name)
+
+
+def test_grid_over_another_key_names_it_in_the_case_table(tmp_path, corpus):
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"), grasp_iterations=20)
+    assert main(["pipeline", "--config", config, "--grid", "w=0.1,0.2;n_min=3"]) == 0
+    with open(tmp_path / "out" / "auc_summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][-1] == "w" and len(rows[0]) == 10
+    assert [(r[0], r[1], r[-1]) for r in rows[1:]] == [("A", "3", "0.1"), ("B", "3", "0.2")]
 
 
 def test_grid_pipeline_shares_graph_and_centralities(tmp_path, corpus, monkeypatch):

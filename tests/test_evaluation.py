@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from insiderank.clustering import ClusterParams
 from insiderank.evaluation import (
     GroundTruth,
     RocCurve,
@@ -212,8 +213,8 @@ def test_distribution_csv_layout(tmp_path):
 def test_auc_summary_csv_layout(tmp_path):
     path = tmp_path / "auc_summary.csv"
     rows = [
-        ("A", 3, 2, [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
-        ("B", 4, 3, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        ("A", ClusterParams(n_min=3, s_min=2), [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]),
+        ("B", ClusterParams(n_min=4, s_min=3), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
     ]
     write_auc_summary_csv(path, rows)
     with open(path, newline="") as fh:
@@ -227,4 +228,18 @@ def test_auc_summary_csv_layout(tmp_path):
     assert parsed[2][:3] == ["B", "4", "3"]
 
     with pytest.raises(ValueError):
-        write_auc_summary_csv(path, [("C", 3, 2, [0.5])])
+        write_auc_summary_csv(path, [("C", ClusterParams(), [0.5])])
+
+
+def test_auc_summary_csv_appends_the_parameters_that_vary(tmp_path):
+    path = tmp_path / "auc_summary.csv"
+    aucs = [0.5] * 6
+    rows = [("A", ClusterParams(w=0.1, rcl_alpha=0.3, n_min=3), aucs),
+            ("B", ClusterParams(w=0.2, rcl_alpha=0.3, n_min=3), aucs),
+            ("C", ClusterParams(w=0.2, rcl_alpha=0.5, n_min=3), aucs)]
+    write_auc_summary_csv(path, rows)
+    with open(path, newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert parsed[0][:9] == ["case", "n_min", "s_min", *(f"score_{k}" for k in range(1, 7))]
+    assert parsed[0][9:] == ["w", "rcl_alpha"]
+    assert [r[9:] for r in parsed[1:]] == [["0.1", "0.3"], ["0.2", "0.3"], ["0.2", "0.5"]]

@@ -233,7 +233,9 @@ def test_group_by_user():
         _logon("U2", "2010-01-04T10:00:00", eid="c"),
     ]
     grouped = group_by_user(events)
-    assert [e.event_id for e in grouped["U2"]] == ["a", "c"]
+    assert grouped.users == ["U1", "U2"]
+    rows = grouped.order[grouped.user[grouped.order] == 1]
+    assert [grouped.table.ids[r] for r in rows] == ["a", "c"]
 
 
 def test_normalize_matrix_basics():

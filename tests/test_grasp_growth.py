@@ -19,6 +19,8 @@ from insiderank.clustering import (
     _grow,
     _growth_bound,
     _GraspContext,
+    _local_search,
+    grasp_cluster,
     quality,
     required_degree,
 )
@@ -241,7 +243,29 @@ def test_growth_from_isolated_seed_edges():
 def test_grasp_round_counts_growth_steps_and_moves():
     graph, groups = planted_clique_graph()
     ctx = _GraspContext(graph, ClusterParams(n_min=3, s_min=4, w=0.05))
+    searched = {}
     for i in range(10):
-        cluster, steps, moves = _grasp_round(ctx, i)
+        cluster, steps, moves = _grasp_round(ctx, i, searched)
         assert cluster is not None and cluster.members in groups
         assert 1 <= steps <= graph.n_vertices - 2 and moves >= 0
+
+
+def test_local_search_is_searched_once_per_grown_set():
+    # every round searched afresh gives the clusters and move count that
+    # grasp_cluster reports; rounds that regrow a set reuse its search
+    graph = random_instance(np.random.default_rng(3))
+    params = ClusterParams(n_min=3, s_min=1, w=0.35, gamma_min=0.5, grasp_iterations=60)
+    ctx = _GraspContext(graph, params)
+    clusters, moves, grown_sets = set(), 0, []
+    for i in range(params.grasp_iterations):
+        grown, _ = _grow(ctx, np.random.default_rng((params.rng_seed, i)))
+        if grown is not None:
+            cluster, climbed = _local_search(ctx, grown)
+            clusters.add(cluster.members)
+            moves += climbed
+            grown_sets.append(frozenset(grown))
+    result = grasp_cluster(graph, params)
+    assert result.stats["local_search_moves"] == moves
+    assert result.stats["unique_clusters"] == len(clusters)
+    hits = len(grown_sets) - len(set(grown_sets))
+    assert result.stats["local_search_cache_hits"] == hits > 0

@@ -7,6 +7,7 @@ from datetime import datetime
 
 import pytest
 
+from insiderank import ingest
 from insiderank.ingest import (
     FILE_KINDS,
     LOG_LAYOUTS,
@@ -137,6 +138,30 @@ def test_events_plus_rejects_account_for_every_data_row():
     rejects = RejectReport()
     events = parse_log_file(lines, "logon", rejects=rejects)
     assert len(events) + len(rejects) == n_rows
+
+
+def test_batch_size_does_not_change_the_parse(monkeypatch):
+    # runs of rejects fill whole batches when they are small; events, code
+    # tables and reject order must not depend on where batches split
+    rng = random.Random(11)
+    lines = ["id,date,user,pc,to,cc,bcc,from,size,attachments,content"]
+    for i in range(300):
+        stamp = rng.choice(["01/04/2010 09:00:00", "1/4/2010 9:00:01", "02/30/2010 09:00:00"])
+        size = rng.choice(["10", "x", str(2**70)])
+        user = rng.choice(["U1", "U2", ""]) if i % 50 > 20 else "U3"
+        rcpt = rng.choice(["a@dtaa.com;b@x.org", "", " c@dtaa.com ;;a@dtaa.com"])
+        lines.append(f"e{i},{stamp},{user},PC-{i % 4},{rcpt},{rcpt[:5]},,u@dtaa.com,{size},1,")
+        if i % 37 == 0:
+            lines.append(f"short{i},01/04/2010")
+    whole_rejects = RejectReport()
+    whole = parse_log_file(lines, "email", rejects=whole_rejects)
+    monkeypatch.setattr(ingest, "_BATCH_ROWS", 7)
+    batched_rejects = RejectReport()
+    batched = parse_log_file(lines, "email", rejects=batched_rejects)
+    assert batched == whole and len(whole) > 0
+    assert batched_rejects == whole_rejects and len(whole_rejects) > 0
+    assert [line for _, line, _ in whole_rejects.rows] == sorted(
+        line for _, line, _ in whole_rejects.rows)
 
 
 def test_round_trip_parse_write_parse(tmp_path):

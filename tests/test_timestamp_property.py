@@ -1,10 +1,15 @@
-"""The fixed-width timestamp parser against datetime.strptime, as a property.
+"""The timestamp parsers against datetime.strptime, as properties: the
+fixed-width fast path of parse_timestamp, and the column parser that
+decodes a log's timestamps in one numpy pass and leaves every string it
+cannot prove valid to parse_timestamp.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from datetime import datetime
 
 import pytest
@@ -14,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insiderank.ingest import TIMESTAMP_FORMAT, parse_timestamp
+from insiderank.ingest import TIMESTAMP_FORMAT, RejectReport, parse_log_file, parse_timestamp
 
 
 # Digits strptime's \\d also matches: Arabic-Indic, Devanagari, fullwidth.
@@ -50,27 +55,46 @@ def _strptime_outcome(text):
         return ValueError
 
 
+# Fixed cases: padded and unpadded, leap days that exist and that do not,
+# seconds 60 and 61, each field just out of range, digits of other scripts,
+# a doubled space and a sign.
+FIXED = (
+    "01/02/2010 08:31:00",
+    "1/2/2010 8:31:00",  # not zero-padded
+    "02/29/2012 23:59:59",  # leap day
+    "02/29/2011 12:00:00",  # no such day
+    "02/29/2000 00:00:00",
+    "02/29/1900 00:00:00",
+    "12/31/2010 23:59:60",  # second 60
+    "12/31/2010 23:59:61",
+    "13/01/2010 00:00:00",
+    "00/10/2010 00:00:00",
+    "01/00/2010 00:00:00",
+    "04/31/2010 00:00:00",
+    "01/01/0000 00:00:00",
+    "01/01/0001 00:00:00",
+    "12/31/9999 23:59:59",
+    "01/01/2010 24:00:00",
+    "01/01/2010 00:60:00",
+    "01/02/\u0662\u0660\u0661\u0660 08:31:00",  # Arabic-Indic year
+    "\uff10\uff11/02/2010 08:31:00",  # fullwidth month
+    "01/02/2010  08:31:00",  # strptime reads any run of whitespace as one space
+    "+1/02/2010 08:31:00",
+    " 01/02/2010 08:31:00 ",  # the parser strips every field
+    "01/02/2010 08:31:00x",
+    "",
+)
+
+
+def _with_fixed_examples(test):
+    for text in reversed(FIXED):
+        test = example(text)(test)
+    return test
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(_timestamp_like(), st.text(max_size=24)))
-@example("01/02/2010 08:31:00")
-@example("1/2/2010 8:31:00")  # not zero-padded
-@example("02/29/2012 23:59:59")  # leap day
-@example("02/29/2011 12:00:00")  # no such day
-@example("02/29/2000 00:00:00")
-@example("02/29/1900 00:00:00")
-@example("12/31/2010 23:59:60")  # second 60
-@example("12/31/2010 23:59:61")
-@example("13/01/2010 00:00:00")
-@example("00/10/2010 00:00:00")
-@example("01/00/2010 00:00:00")
-@example("04/31/2010 00:00:00")
-@example("01/01/0000 00:00:00")
-@example("01/01/2010 24:00:00")
-@example("01/01/2010 00:60:00")
-@example("01/02/\u0662\u0660\u0661\u0660 08:31:00")  # Arabic-Indic year
-@example("\uff10\uff11/02/2010 08:31:00")  # fullwidth month
-@example("01/02/2010  08:31:00")  # strptime reads any run of whitespace as one space
-@example("+1/02/2010 08:31:00")
+@_with_fixed_examples
 def test_timestamp_parser_agrees_with_strptime(text):
     expected = _strptime_outcome(text)
     if expected is ValueError:
@@ -78,3 +102,54 @@ def test_timestamp_parser_agrees_with_strptime(text):
             parse_timestamp(text)
     else:
         assert parse_timestamp(text) == expected
+
+
+def _parse_timestamp_outcome(text):
+    try:
+        return parse_timestamp(text)
+    except ValueError:
+        return ValueError
+
+
+def _logon_log(stamps):
+    """A logon log with one row per stamp, written as csv.writer quotes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["id", "date", "user", "pc", "activity"])
+    writer.writerows([f"e{i}", stamp, "U1", "PC-1", "Logon"] for i, stamp in enumerate(stamps))
+    rejects = RejectReport()
+    table = parse_log_file(io.StringIO(buffer.getvalue(), newline=""), "logon", rejects=rejects)
+    return table, rejects
+
+
+def _assert_carries(table, row, expected):
+    assert table.day[row] == expected.toordinal()
+    assert table.weekday()[row] == expected.weekday()
+    assert table.tod[row] == ((expected.hour * 60 + expected.minute) * 60
+                              + expected.second) * 1_000_000
+    assert table[row].timestamp == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_timestamp_like(), st.text(max_size=24)))
+@_with_fixed_examples
+def test_column_parser_accepts_what_parse_timestamp_accepts(text):
+    table, rejects = _logon_log([text])
+    expected = _parse_timestamp_outcome(text.strip())
+    if expected is ValueError:
+        assert len(table) == 0 and rejects.classes == ["bad timestamp"]
+    else:
+        assert len(table) == 1 and not rejects.rows
+        _assert_carries(table, 0, expected)
+
+
+def test_column_parser_decides_each_row_of_a_batch_alone():
+    stamps = [stamp for stamp in FIXED for _ in range(3)]
+    table, rejects = _logon_log(stamps)
+    outcomes = [_parse_timestamp_outcome(stamp.strip()) for stamp in stamps]
+    accepted = [outcome for outcome in outcomes if outcome is not ValueError]
+    assert len(table) == len(accepted) and len(table) + len(rejects) == len(stamps)
+    assert [line - 2 for _, line, _ in rejects.rows] == [
+        i for i, outcome in enumerate(outcomes) if outcome is ValueError]
+    for row, expected in enumerate(accepted):
+        _assert_carries(table, row, expected)
