@@ -52,7 +52,6 @@ from .features import (
 from .graph import AttributedGraph, build_graph, degree_profile, load_graph
 from .ingest import (
     EventTable,
-    LogEvent,
     OrgDirectory,
     RejectReport,
     UserRecord,
@@ -79,7 +78,6 @@ __all__ = [
     "ClusteringResult",
     "EventTable",
     "GroundTruth",
-    "LogEvent",
     "NonConvergenceError",
     "NormalizationContext",
     "OracleBoundExceeded",

@@ -460,7 +460,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
     # build_graph numbers its rejects by position among the email events, and
     # graph_rejects.csv lists the email.csv parse rejects first
     email_log = LOG_LAYOUTS["email"].file_name
-    emails = events.get(email_log, [])
+    emails = events.get(email_log, EventTable.empty())
     rejects = parse_rejects.from_source(email_log)
     graph = build_graph(
         directory, emails, matrix, names,
@@ -567,8 +567,9 @@ def stage_synth(cfg, manifest: Manifest) -> None:
     for path in corpus.paths:
         manifest.add_output(path)
     manifest.data["stats"]["synth"] = {"users": len(corpus.directory),
-                                       "days": cfg["synth_n_days"]}
-    print(f"synth: wrote {len(corpus.directory)}-user corpus under {log_dir}")
+                                       "days": cfg["synth_n_days"], "rows": corpus.rows}
+    print(f"synth: wrote {len(corpus.directory)}-user corpus of {sum(corpus.rows.values())} "
+          f"log rows under {log_dir}")
 
 
 def _parse_grid(text: str) -> list[tuple[str, list]]:

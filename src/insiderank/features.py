@@ -28,15 +28,14 @@ the columns built for no users.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from datetime import date, datetime, time
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import (EVENT_KINDS, EventTable, LogEvent, OrgDirectory, _csv_rows, _distinct,
-                     _intern, _microseconds)
+from .ingest import (EVENT_KINDS, EventTable, OrgDirectory, _csv_rows, _distinct, _intern,
+                     _microseconds)
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -116,13 +115,9 @@ class UserEvents:
         self.order = np.lexsort((table.kind, self.user))
 
 
-def group_by_user(events: Iterable[EventTable] | Iterable[LogEvent]) -> UserEvents:
-    """Group the events of parsed logs (EventTables, say one per log file),
-    or a stream of LogEvents, by user."""
-    items = list(events)
-    if not all(isinstance(item, EventTable) for item in items):
-        items = [EventTable.from_events(items)]
-    return UserEvents(EventTable.concat(items))
+def group_by_user(tables: Iterable[EventTable]) -> UserEvents:
+    """Group the events of parsed logs (say one table per log file) by user."""
+    return UserEvents(EventTable.concat(list(tables)))
 
 
 def encode_categoricals(directory: OrgDirectory) -> dict[str, dict[str, int]]:
@@ -311,7 +306,7 @@ assert len(set(ATTRIBUTE_NAMES)) == 125
 
 
 def extract_attributes(
-    events_by_user: UserEvents | Mapping[str, Sequence[LogEvent]],
+    events_by_user: UserEvents,
     directory: OrgDirectory,
     config: CalendarConfig | None = None,
     *,
@@ -319,17 +314,12 @@ def extract_attributes(
 ) -> list[AttributeVector]:
     """Build one AttributeVector per directory user, ordered by user id.
 
-    ``events_by_user`` is :func:`group_by_user`'s result, or any mapping
-    from user id to that user's LogEvents.  Users appearing in the events
-    but not in the directory are an error; directory users without events
-    get the all-zero defaults.
+    ``events_by_user`` is :func:`group_by_user`'s result.  Users appearing
+    in the events but not in the directory are an error; directory users
+    without events get the all-zero defaults.
     """
     config = config or CalendarConfig()
-    users: set[str] = set()
-    if not isinstance(events_by_user, UserEvents):
-        users.update(events_by_user)
-        events_by_user = group_by_user(itertools.chain.from_iterable(events_by_user.values()))
-    unknown = sorted(users.union(events_by_user.users) - set(directory.users))
+    unknown = sorted(set(events_by_user.users) - set(directory.users))
     if unknown:
         raise ValueError(f"events reference users absent from the directory: {unknown}")
     codes = encode_categoricals(directory)

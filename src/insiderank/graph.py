@@ -23,8 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import _is_internal, read_nodes_csv
-from .ingest import (EMAIL, EventTable, LogEvent, OrgDirectory, RejectReport, _csv_rows,
-                     _distinct)
+from .ingest import EMAIL, EventTable, OrgDirectory, RejectReport, _csv_rows, _distinct
 
 __all__ = [
     "AttributedGraph",
@@ -109,15 +108,15 @@ class AttributedGraph:
 
 def build_graph(
     directory: OrgDirectory,
-    email_events: EventTable | Iterable[LogEvent],
+    email_events: EventTable,
     attributes: np.ndarray,
     attribute_names: Sequence[str],
     *,
     internal_domain: str = "dtaa.com",
     rejects: RejectReport | None = None,
 ) -> AttributedGraph:
-    """Assemble the graph from the directory and the email events: a parsed
-    email log, or LogEvents (events of other kinds are skipped).
+    """Assemble the graph from the directory and the email events, a parsed
+    email log (rows of other kinds are skipped).
 
     ``attributes`` must be aligned with the directory users in sorted user-id
     order (the order produced by feature extraction).  A rejected email is
@@ -140,8 +139,7 @@ def build_graph(
         if a != b:
             edges.add((a, b) if a < b else (b, a))
 
-    table = (email_events if isinstance(email_events, EventTable)
-             else EventTable.from_events(email_events))
+    table = email_events
 
     def resolve(address: str) -> int:
         if not _is_internal(address, internal_domain):
@@ -163,10 +161,11 @@ def build_graph(
         # the first unresolved address, in the order sender, to, cc, bcc
         codes = [table.sender[i], *table.recipients[ends[i]:ends[i + 1]].tolist()]
         address = next(table.addresses[c] for c in codes if vertex[c] == _UNRESOLVED)
+        event_id = table.ids[table.id_ptr[i]:table.id_ptr[i + 1]]
         rejects.add(
             "<email-events>",
             i + 1,
-            f"event {table.ids[i]!r}: internal address {address!r} does not "
+            f"event {event_id!r}: internal address {address!r} does not "
             f"resolve to a directory user",
             "unresolved address",
         )

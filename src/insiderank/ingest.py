@@ -8,11 +8,13 @@ each event kind.  The parser, :func:`write_log_file`, the synthetic corpus
 generator and the CLI all read it.  The free-text ``content`` column of
 email.csv and file.csv is never parsed.
 
-A parsed log is an :class:`EventTable`: one numpy column per field, with
-users, machines, email addresses and file names interned into code tables.
-The parser reads a batch of CSV rows at a time and turns each batch into
-columns; zero-padded timestamps are decoded for the whole batch in one numpy
-pass, and any other string is left to :func:`parse_timestamp`.
+Events exist only as :class:`EventTable` columns: one numpy column per
+field, with event ids joined into one string, and users, machines, email
+addresses and file names interned into code tables.  The parser reads a
+batch of CSV rows at a time and turns each batch into columns; zero-padded
+timestamps are decoded for the whole batch in one numpy pass, and any other
+string is left to :func:`parse_timestamp`.  :func:`write_log_file` writes a
+table back, formatting each distinct day once.
 
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
@@ -42,10 +44,7 @@ __all__ = [
     "EVENT_KINDS",
     "FILE_KINDS",
     "LOG_LAYOUTS",
-    "EmailPayload",
     "EventTable",
-    "FilePayload",
-    "LogEvent",
     "LogLayout",
     "OrgDirectory",
     "RejectReport",
@@ -65,7 +64,7 @@ TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M:%S"
 # other string (unpadded, non-ASCII digits, extra spaces) goes to strptime.
 _FIXED_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
-# Event kinds carried by LogEvent.kind; EventTable.kind holds their positions.
+# Event kinds; EventTable.kind holds their positions.
 EVENT_KINDS = (
     "logon",
     "logoff",
@@ -77,8 +76,8 @@ EVENT_KINDS = (
 _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 EMAIL, FILE_COPY = _KIND_CODE["email"], _KIND_CODE["file_copy"]
 
-# CSV rows turned into columns at a time: only one batch of rows, with its
-# free-text content fields, is held at once.
+# CSV rows turned into columns, or written from them, at a time: only one
+# batch of rows, with its free-text content fields, is held at once.
 _BATCH_ROWS = 1 << 10
 
 
@@ -115,34 +114,6 @@ class SchemaError(ValueError):
     """Raised when a CSV header does not provide the expected columns."""
 
 
-@dataclass(frozen=True)
-class EmailPayload:
-    sender: str
-    to: tuple[str, ...]
-    cc: tuple[str, ...]
-    bcc: tuple[str, ...]
-    size: int
-    attachments: int
-
-    def recipients(self) -> tuple[str, ...]:
-        return self.to + self.cc + self.bcc
-
-
-@dataclass(frozen=True)
-class FilePayload:
-    filename: str
-
-
-@dataclass(frozen=True)
-class LogEvent:
-    event_id: str
-    timestamp: datetime
-    user: str
-    pc: str
-    kind: str
-    payload: EmailPayload | FilePayload | None = None
-
-
 def _microseconds(t: datetime | time) -> int:
     """Microseconds since midnight."""
     return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
@@ -171,27 +142,41 @@ def _recode(codes: np.ndarray, strings: Sequence[str], index: dict[str, int]) ->
     return lookup[codes]  # code -1 picks the trailing -1
 
 
+def _joined(strings: Sequence[str]) -> tuple[str, np.ndarray]:
+    """``strings`` as one string, and the offsets where each starts and the
+    last ends (CSR layout)."""
+    ptr = np.zeros(len(strings) + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=ptr[1:])
+    return "".join(strings), ptr
+
+
+def _chained(ptrs: Iterable[np.ndarray]) -> np.ndarray:
+    """CSR offsets of several arrays laid end to end, as one offsets array."""
+    out = [np.zeros(1, np.int64)]
+    for ptr in ptrs:
+        out.append(ptr[1:] + out[-1][-1])
+    return np.concatenate(out)
+
+
 @dataclass(eq=False)
 class EventTable:
     """Events of one or more activity logs, one numpy column per field.
 
-    Strings are interned: ``user``, ``pc``, ``sender``, ``recipients`` and
-    ``filename`` hold codes into ``users``, ``pcs``, ``addresses`` and
-    ``filenames``.  A timestamp is split into ``day``, its
-    ``date.toordinal()``, and ``tod``, microseconds since midnight; ``kind``
-    holds positions in EVENT_KINDS.  The to, cc and bcc addresses of row
-    ``i`` are ``recipients[recipient_ptr[3*i]:recipient_ptr[3*i+1]]`` and
-    the two slices after it (CSR layout).  Rows that are not emails have
-    sender -1 and no recipients, size and attachments 0; rows that are not
-    file copies have filename -1.
-
-    Iterating and indexing yield :class:`LogEvent` objects, and two tables
-    (or a table and a list of LogEvents) compare equal when they hold the
-    same events in the same order: an adapter for callers that take events
-    one at a time.
+    The event id of row ``i`` is ``ids[id_ptr[i]:id_ptr[i+1]]``: all ids are
+    one joined string.  Other strings are interned: ``user``, ``pc``,
+    ``sender``, ``recipients`` and ``filename`` hold codes into ``users``,
+    ``pcs``, ``addresses`` and ``filenames``.  A timestamp is split into
+    ``day``, its ``date.toordinal()``, and ``tod``, microseconds since
+    midnight; ``kind`` holds positions in EVENT_KINDS.  The to, cc and bcc
+    addresses of row ``i`` are
+    ``recipients[recipient_ptr[3*i]:recipient_ptr[3*i+1]]`` and the two
+    slices after it (CSR layout).  Rows that are not emails have sender -1
+    and no recipients, size and attachments 0; rows that are not file copies
+    have filename -1.
     """
 
-    ids: list[str]
+    ids: str
+    id_ptr: np.ndarray
     user: np.ndarray
     users: list[str]
     day: np.ndarray
@@ -209,7 +194,7 @@ class EventTable:
     filenames: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
+        n = len(self)
         if self.sender is None:
             self.sender = np.full(n, -1, np.int32)
         if self.recipient_ptr is None:
@@ -224,80 +209,24 @@ class EventTable:
             self.filename = np.full(n, -1, np.int32)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.id_ptr) - 1
 
     def weekday(self) -> np.ndarray:
         """Each row's ``datetime.weekday()``: Monday is 0."""
         return (self.day + 6) % 7
 
-    def __getitem__(self, i: int) -> LogEvent:
-        i = range(len(self))[i]
-        seconds, micro = divmod(int(self.tod[i]), 1_000_000)
-        minutes, second = divmod(seconds, 60)
-        timestamp = datetime.combine(date.fromordinal(int(self.day[i])),
-                                     time(minutes // 60, minutes % 60, second, micro))
-        kind = EVENT_KINDS[self.kind[i]]
-        payload: EmailPayload | FilePayload | None = None
-        if kind == "email":
-            ends = self.recipient_ptr[3 * i:3 * i + 4].tolist()
-            to, cc, bcc = (tuple(self.addresses[c] for c in self.recipients[a:b].tolist())
-                           for a, b in zip(ends, ends[1:]))
-            payload = EmailPayload(self.addresses[self.sender[i]], to, cc, bcc,
-                                   int(self.size[i]), int(self.attachments[i]))
-        elif kind == "file_copy":
-            payload = FilePayload(self.filenames[self.filename[i]])
-        return LogEvent(self.ids[i], timestamp, self.users[self.user[i]], self.pcs[self.pc[i]],
-                        kind, payload)
-
-    def __iter__(self) -> Iterator[LogEvent]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (EventTable, list, tuple)):
-            return NotImplemented
-        return list(self) == list(other)
-
     @classmethod
-    def from_events(cls, events: Iterable[LogEvent]) -> EventTable:
-        """The table of ``events``, in their order."""
-        events = list(events)
-        unknown = sorted({e.kind for e in events} - set(EVENT_KINDS))
-        if unknown:
-            raise ValueError(f"unknown event kind(s) {unknown}; expected one of {EVENT_KINDS}")
-        users: dict[str, int] = {}
-        pcs: dict[str, int] = {}
-        addresses: dict[str, int] = {}
-        filenames: dict[str, int] = {}
-        kind = np.array([_KIND_CODE[e.kind] for e in events], np.int8)
-        stamps = [e.timestamp for e in events]
-        table = cls(
-            [e.event_id for e in events], _intern([e.user for e in events], users), [],
-            np.array([t.toordinal() for t in stamps], np.int32),
-            np.array([_microseconds(t) for t in stamps], np.int64),
-            kind, _intern([e.pc for e in events], pcs), [],
-        )
-        is_email = kind == EMAIL
-        emails = [e.payload for e in events if e.kind == "email"]
-        table.sender[is_email] = _intern([p.sender for p in emails], addresses)
-        counts = np.zeros((len(events), 3), np.int64)
-        counts[is_email] = np.array([(len(p.to), len(p.cc), len(p.bcc)) for p in emails],
-                                    np.int64).reshape(-1, 3)
-        table.recipient_ptr[1:] = np.cumsum(counts.ravel())
-        table.recipients = _intern([a for p in emails for a in p.recipients()], addresses)
-        sizes = _int_array([p.size for p in emails]), _int_array([p.attachments for p in emails])
-        table.size, table.attachments = (np.zeros(len(events), a.dtype) for a in sizes)
-        table.size[is_email], table.attachments[is_email] = sizes
-        table.filename[kind == FILE_COPY] = _intern(
-            [e.payload.filename for e in events if e.kind == "file_copy"], filenames)
-        table.users, table.pcs = list(users), list(pcs)
-        table.addresses, table.filenames = list(addresses), list(filenames)
-        return table
+    def empty(cls) -> EventTable:
+        """The table of no events."""
+        codes = np.empty(0, np.int32)
+        return cls("", np.zeros(1, np.int64), codes, [], codes, np.empty(0, np.int64),
+                   np.empty(0, np.int8), codes, [])
 
     @classmethod
     def concat(cls, tables: Sequence[EventTable]) -> EventTable:
         """One table holding the rows of ``tables`` in order."""
         if len(tables) <= 1:
-            return tables[0] if tables else cls.from_events(())
+            return tables[0] if tables else cls.empty()
         index: dict[str, dict[str, int]] = {"users": {}, "pcs": {}, "addresses": {},
                                             "filenames": {}}
 
@@ -308,16 +237,14 @@ class EventTable:
                          for p, t in zip(parts, tables)]
             return np.concatenate(parts)
 
-        ptr = [np.zeros(1, np.int64)]
-        for t in tables:
-            ptr.append(t.recipient_ptr[1:] + ptr[-1][-1])
         return cls(
-            list(itertools.chain.from_iterable(t.ids for t in tables)),
+            "".join(t.ids for t in tables), _chained(t.id_ptr for t in tables),
             joined("user", "users"), list(index["users"]),
             joined("day"), joined("tod"), joined("kind"), joined("pc", "pcs"),
-            list(index["pcs"]), joined("sender", "addresses"), np.concatenate(ptr),
-            joined("recipients", "addresses"), list(index["addresses"]), joined("size"),
-            joined("attachments"), joined("filename", "filenames"), list(index["filenames"]),
+            list(index["pcs"]), joined("sender", "addresses"),
+            _chained(t.recipient_ptr for t in tables), joined("recipients", "addresses"),
+            list(index["addresses"]), joined("size"), joined("attachments"),
+            joined("filename", "filenames"), list(index["filenames"]),
         )
 
 
@@ -543,7 +470,7 @@ class _BatchParser:
             day, tod = day[keep], tod[keep]
         users: dict[str, int] = {}
         pcs: dict[str, int] = {}
-        table = EventTable(event_id, _intern(user, users), list(users), day, tod,
+        table = EventTable(*_joined(event_id), _intern(user, users), list(users), day, tod,
                            pc=_intern(pc, pcs), pcs=list(pcs), **self.payload(rest))
         return table, rejected
 
@@ -630,28 +557,65 @@ def read_log_csv(
         return parse_log_file(fh, kind, source=path.name, rejects=rejects)
 
 
-def write_log_file(path: str | Path, events: Iterable[LogEvent], kind: str) -> None:
-    """Serialize events back to the canonical CSV layout for ``kind``.
+def _decode(codes: np.ndarray, strings: Sequence[str]) -> list[str]:
+    """The string of each code."""
+    return list(map(strings.__getitem__, codes.tolist()))
 
-    Inverse of :func:`parse_log_file` for valid rows; the free-text content
-    column (never parsed) is written empty.
+
+def _csv_fields(table: EventTable, kind: str, start: int, stop: int) -> Iterator[tuple]:
+    """The CSV fields of rows ``start`` to ``stop - 1`` (or the last row) in
+    the layout of ``kind``."""
+    layout = LOG_LAYOUTS[kind]
+    ends = table.id_ptr[start:stop + 1].tolist()
+    ids = [table.ids[a:b] for a, b in zip(ends, ends[1:])]
+    days = table.day[start:stop].tolist()
+    # TIMESTAMP_FORMAT: the date of each distinct day, then the time of day;
+    # not strftime, which can write year 999 as "999" where the parser needs
+    # four digits
+    dates: dict[int, str] = {}
+    for day in set(days):
+        d = date.fromordinal(day)
+        dates[day] = f"{d.month:02d}/{d.day:02d}/{d.year:04d}"
+    stamps = [f"{dates[day]} {t // 3600:02d}:{t // 60 % 60:02d}:{t % 60:02d}"
+              for day, t in zip(days, (table.tod[start:stop] // 1_000_000).tolist())]
+    # the fields after id, date, user and pc, in LOG_LAYOUTS order
+    if layout.activities:
+        activity = [layout.activities.get(k, "") for k in EVENT_KINDS]
+        rest = [_decode(table.kind[start:stop], activity)]
+    elif kind == "email":
+        ends = table.recipient_ptr[3 * start:3 * stop + 1].tolist()
+        addresses = _decode(table.recipients[ends[0]:ends[-1]], table.addresses)
+        boxes = [";".join(addresses[a - ends[0]:b - ends[0]]) for a, b in zip(ends, ends[1:])]
+        rest = [boxes[0::3], boxes[1::3], boxes[2::3],
+                _decode(table.sender[start:stop], table.addresses),
+                table.size[start:stop].tolist(), table.attachments[start:stop].tolist(),
+                itertools.repeat("")]
+    else:  # file
+        rest = [_decode(table.filename[start:stop], table.filenames), itertools.repeat("")]
+    return zip(ids, stamps, _decode(table.user[start:stop], table.users),
+               _decode(table.pc[start:stop], table.pcs), *rest)
+
+
+def write_log_file(path: str | Path, table: EventTable, kind: str) -> None:
+    """Serialize a table to the canonical CSV layout for ``kind``.
+
+    Inverse of :func:`parse_log_file` for valid rows; timestamps are written
+    to the second, and the free-text content column (never parsed) is
+    written empty.  A row whose event kind the log cannot hold raises
+    ValueError.
     """
     layout = _layout(kind)
+    allowed = ({_KIND_CODE[k] for k in layout.activities} if layout.activities
+               else {EMAIL if kind == "email" else FILE_COPY})
+    stray = set(_distinct(table.kind).tolist()) - allowed
+    if stray:
+        names = sorted(EVENT_KINDS[k] for k in stray)
+        raise ValueError(f"a {kind} log cannot hold {names} events")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(layout.columns)
-        for e in events:
-            # the fields after id, date, user and pc, in LOG_LAYOUTS order
-            p = e.payload
-            if layout.activities:
-                rest = [layout.activities[e.kind]]
-            elif kind == "email":
-                rest = [";".join(p.to), ";".join(p.cc), ";".join(p.bcc), p.sender,
-                        p.size, p.attachments, ""]
-            else:  # file
-                rest = [p.filename, ""]
-            writer.writerow([e.event_id, e.timestamp.strftime(TIMESTAMP_FORMAT), e.user, e.pc,
-                             *rest])
+        for start in range(0, len(table), _BATCH_ROWS):
+            writer.writerows(_csv_fields(table, kind, start, start + _BATCH_ROWS))
 
 
 @dataclass(frozen=True)

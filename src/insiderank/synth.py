@@ -7,7 +7,10 @@ background edges.  Outlier vertices are wired into one host group's topology
 but carry values far outside that group's subspace ranges; their ids form
 the ground truth.  `generate_logs` turns the same planted structure into a
 small activity-log corpus in the ingest schema, where group members share
-behaviour profiles and outliers log on heavily after hours.
+behaviour profiles and outliers log on heavily after hours.  Its draw loop
+appends plain ints and strings to per-log columns; each log is then put in
+time order as one :class:`~insiderank.ingest.EventTable` and written with
+:func:`~insiderank.ingest.write_log_file`.
 
 Everything is driven by a single numpy Generator seeded from the spec, with
 a fixed draw order, so equal specs reproduce outputs exactly (log files
@@ -16,9 +19,10 @@ byte for byte).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -29,12 +33,13 @@ from .evaluation import GroundTruth, write_ground_truth
 from .features import FILE_TYPES, CalendarConfig
 from .graph import AttributedGraph
 from .ingest import (
+    EVENT_KINDS,
     LOG_LAYOUTS,
-    EmailPayload,
-    FilePayload,
-    LogEvent,
+    EventTable,
     OrgDirectory,
     UserRecord,
+    _intern,
+    _joined,
     write_directory_csv,
     write_log_file,
 )
@@ -281,16 +286,13 @@ def _draw_profile(rng: np.random.Generator) -> _Profile:
     )
 
 
-def _at(day: date, decimal_hour: float) -> datetime:
-    base = datetime(day.year, day.month, day.day)
-    return base + timedelta(seconds=int(decimal_hour * 3600))
-
-
 class SynthCorpus(NamedTuple):
-    """What :func:`generate_logs` wrote: the users, and every file."""
+    """What :func:`generate_logs` wrote: the users, every file, and the
+    number of rows in each log, keyed by file name."""
 
     directory: OrgDirectory
     paths: tuple[Path, ...]
+    rows: dict[str, int]
 
 
 def generate_logs(
@@ -374,74 +376,96 @@ def generate_logs(
             return [j for j in range(n) if j != i]
         return [m for m in members if m != i]
 
-    # rows of (timestamp, seq, user, event kind, payload), one list per log
-    logons: list[tuple] = []
-    devices: list[tuple] = []
-    emails: list[tuple] = []
-    files: list[tuple] = []
-    seq = 0
+    # Each log's events as drawn, one list per column: the second since
+    # start_date's midnight, the user's index and the event kind's code.
+    # Emails add their To recipients (user indices), size and attachments,
+    # and file copies their file name.
+    drawn = {kind: ([], [], []) for kind in LOG_LAYOUTS}
+    logons, devices, emails, files = drawn.values()
+    to: list[tuple[int, ...]] = []
+    size: list[int] = []
+    attachments: list[int] = []
+    filename: list[str] = []
+    LOGON, LOGOFF, CONNECT, DISCONNECT, EMAIL, FILE_COPY = map(EVENT_KINDS.index, (
+        "logon", "logoff", "device_connect", "device_disconnect", "email", "file_copy"))
 
-    def log(rows: list, at: datetime, uid: str, kind: str, payload=None) -> None:
-        nonlocal seq
-        seq += 1
-        rows.append((at, seq, uid, kind, payload))
+    def log(rows: tuple[list, list, list], second: int, user: int, kind: int) -> None:
+        rows[0].append(second)
+        rows[1].append(user)
+        rows[2].append(kind)
 
+    active = [i for i in range(n) if _user_id(i) not in silent]
     for day_index in range(n_days):
-        day = start_date + timedelta(days=day_index)
-        workday = day.weekday() in calendar.business_days
-        for i in range(n):
-            uid = _user_id(i)
-            if uid in silent:
-                continue
+        workday = (start_date + timedelta(days=day_index)).weekday() in calendar.business_days
+        midnight = day_index * 86400
+        for i in active:
             prof = profiles[i]
             if workday:
-                log(logons, _at(day, prof.morning + float(rng.random()) * 0.4), uid, "logon")
+                log(logons, midnight + int((prof.morning + float(rng.random()) * 0.4) * 3600),
+                    i, LOGON)
                 for _ in range(prof.logons - 1):
-                    log(logons, _at(day, 10.0 + float(rng.random()) * 5.0), uid, "logon")
-                log(logons, _at(day, 16.1 + float(rng.random()) * 0.8), uid, "logoff")
+                    log(logons, midnight + int((10.0 + float(rng.random()) * 5.0) * 3600),
+                        i, LOGON)
+                log(logons, midnight + int((16.1 + float(rng.random()) * 0.8) * 3600), i, LOGOFF)
                 for _ in range(prof.usb):
                     t = 10.0 + float(rng.random()) * 5.0
-                    log(devices, _at(day, t), uid, "device_connect")
-                    log(devices, _at(day, t + 0.25), uid, "device_disconnect")
+                    log(devices, midnight + int(t * 3600), i, CONNECT)
+                    log(devices, midnight + int((t + 0.25) * 3600), i, DISCONNECT)
                 for _ in range(prof.files):
                     t = 9.5 + float(rng.random()) * 6.0
                     ext = FILE_TYPES[int(rng.integers(len(FILE_TYPES)))]
-                    name = f"doc{int(rng.integers(1000)):03d}.{ext}"
-                    log(files, _at(day, t), uid, "file_copy", FilePayload(name))
+                    filename.append(f"doc{int(rng.integers(1000)):03d}.{ext}")
+                    log(files, midnight + int(t * 3600), i, FILE_COPY)
                 peers = peers_of(i)
                 for _ in range(prof.emails):
                     t = 9.0 + float(rng.random()) * 7.0
                     k = min(len(peers), 1 + int(rng.integers(2)))
                     chosen = sorted(int(x) for x in rng.choice(len(peers), size=k, replace=False))
-                    to = tuple(users[_user_id(peers[j])].email for j in chosen)
-                    payload = EmailPayload(
-                        sender=users[uid].email,
-                        to=to,
-                        cc=(),
-                        bcc=(),
-                        size=int(rng.integers(1000, 60000)),
-                        attachments=int(rng.integers(0, 3)),
-                    )
-                    log(emails, _at(day, t), uid, "email", payload)
+                    to.append(tuple(peers[j] for j in chosen))
+                    size.append(int(rng.integers(1000, 60000)))
+                    attachments.append(int(rng.integers(0, 3)))
+                    log(emails, midnight + int(t * 3600), i, EMAIL)
             for _ in range(prof.ah_logons):
-                log(logons, _at(day, 19.0 + float(rng.random()) * 3.9), uid, "logon")
+                log(logons, midnight + int((19.0 + float(rng.random()) * 3.9) * 3600), i, LOGON)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "ldap").mkdir(exist_ok=True)
 
-    def pc_of(uid: str) -> str:
-        return f"PC-{int(uid[1:]):04d}"
-
-    paths = []
-    for kind, rows, prefix in (("logon", logons, "L"), ("device", devices, "D"),
-                               ("email", emails, "M"), ("file", files, "F")):
-        rows.sort(key=lambda r: (r[0], r[1]))
-        events = [LogEvent(f"{prefix}{k + 1:06d}", ts, uid, pc_of(uid), event_kind, payload)
-                  for k, (ts, _, uid, event_kind, payload) in enumerate(rows)]
+    user_ids = [_user_id(i) for i in range(n)]
+    pcs = [f"PC-{i + 1:04d}" for i in range(n)]
+    paths, rows = [], {}
+    for kind, prefix in (("logon", "L"), ("device", "D"), ("email", "M"), ("file", "F")):
+        second, user, event_kind = drawn[kind]
+        # time order; events drawn at the same second keep their draw order
+        second = np.array(second, np.int64)
+        order = np.argsort(second, kind="stable")
+        second = second[order]
+        user = np.array(user, np.int32)[order]
+        table = EventTable(
+            *_joined([f"{prefix}{k:06d}" for k in range(1, len(order) + 1)]), user, user_ids,
+            (start_date.toordinal() + second // 86400).astype(np.int32),
+            second % 86400 * 1_000_000, np.array(event_kind, np.int8)[order], user, pcs,
+        )
+        if kind == "email":
+            recipients = [to[j] for j in order.tolist()]
+            counts = np.zeros((len(order), 3), np.int64)
+            counts[:, 0] = list(map(len, recipients))
+            table.sender = user
+            table.recipient_ptr[1:] = np.cumsum(counts.ravel())
+            table.recipients = np.fromiter(itertools.chain.from_iterable(recipients), np.int32,
+                                           int(counts.sum()))
+            table.addresses = [users[uid].email for uid in user_ids]
+            table.size, table.attachments = (np.array(c, np.int64)[order]
+                                             for c in (size, attachments))
+        elif kind == "file":
+            names: dict[str, int] = {}
+            table.filename = _intern([filename[j] for j in order.tolist()], names)
+            table.filenames = list(names)
         paths.append(out / LOG_LAYOUTS[kind].file_name)
-        write_log_file(paths[-1], events, kind)
+        write_log_file(paths[-1], table, kind)
+        rows[paths[-1].name] = len(table)
     snapshot, truth_path = out / "ldap" / "2009-12.csv", out / "ground_truth.txt"
     write_directory_csv(snapshot, directory)
     write_ground_truth(truth_path, truth)
-    return SynthCorpus(directory, (*paths, snapshot, truth_path))
+    return SynthCorpus(directory, (*paths, snapshot, truth_path), rows)

@@ -467,16 +467,16 @@ def test_criterion_7_cert_r42_reproduction():
 
     start = time.perf_counter()
     directory = load_ldap_snapshots(ldap_dir)
-    events = []
+    # one table per log, grouped and passed on as the pipeline does
+    tables = {}
     for kind, name in (("logon", "logon.csv"), ("device", "device.csv"),
                        ("email", "email.csv"), ("file", "file.csv")):
         path = os.path.join(root, name)
         if os.path.exists(path):
-            events.extend(read_log_csv(path, kind))
-    vectors = extract_attributes(group_by_user(events), directory)
+            tables[kind] = read_log_csv(path, kind)
+    vectors = extract_attributes(group_by_user(tables.values()), directory)
     users, matrix = attribute_matrix(vectors)
-    graph = build_graph(directory, [e for e in events if e.kind == "email"],
-                        normalize_matrix(matrix), ATTRIBUTE_NAMES)
+    graph = build_graph(directory, tables["email"], normalize_matrix(matrix), ATTRIBUTE_NAMES)
     assert len(graph.user_ids) == 1000, f"expected 1000 vertices, got {len(graph.user_ids)}"
     assert abs(len(graph.edges) - 116097) <= 0.15 * 116097, \
         f"edge count {len(graph.edges)} outside 116097 +/- 15%"

@@ -29,15 +29,14 @@ from insiderank.features import (
 from insiderank.ingest import (
     FILE_KINDS,
     LOG_LAYOUTS,
-    EmailPayload,
-    FilePayload,
-    LogEvent,
     OrgDirectory,
     UserRecord,
     load_ldap_snapshots,
     read_log_csv,
 )
 from insiderank.synth import SynthSpec, generate_logs
+
+from event_records import EmailPayload, FilePayload, LogEvent, events_of, table_of
 
 # --- reference: the attribute layout before names and values were built together
 
@@ -238,7 +237,7 @@ def _directory(n):
 
 
 def assert_same_vectors(grouped, events, directory, config=CalendarConfig(), domain=DOMAIN):
-    """``grouped`` is group_by_user's grouping of the LogEvents ``events``,
+    """``grouped`` is group_by_user's grouping of the tables of ``events``,
     which the reference gets grouped by user in their order."""
     events_by_user = {}
     for e in events:
@@ -306,14 +305,15 @@ def test_attribute_names_match_the_reference():
 def test_vectors_match_the_reference_on_every_kind_of_event(seed):
     directory = _directory(5)
     events = every_kind_events(seed, ["U1", "U2", "U3", "U4"], 400)  # U5 has no events
-    assert_same_vectors(group_by_user(events), events, directory)
+    assert_same_vectors(group_by_user([table_of(events)]), events, directory)
 
 
 def test_vectors_match_the_reference_under_a_custom_calendar_and_domain():
     directory = _directory(3)
     events = every_kind_events(9, ["U1", "U2", "U3"], 300)
     weekend_shift = CalendarConfig(time(9, 30), time(18, 0), frozenset({5, 6}))
-    assert_same_vectors(group_by_user(events), events, directory, weekend_shift, "EVIL.org")
+    assert_same_vectors(group_by_user([table_of(events)]), events, directory, weekend_shift,
+                        "EVIL.org")
 
 
 def test_vectors_match_the_reference_on_a_synthetic_corpus(tmp_path):
@@ -323,7 +323,7 @@ def test_vectors_match_the_reference_on_a_synthetic_corpus(tmp_path):
     generate_logs(spec, CalendarConfig(), tmp_path, n_days=60)
     # grouped as the pipeline groups its parsed logs, one table per log
     tables = [read_log_csv(tmp_path / LOG_LAYOUTS[kind].file_name, kind) for kind in FILE_KINDS]
-    events = [e for table in tables for e in table]
+    events = [e for table in tables for e in events_of(table)]
     assert len(events) > 50_000
     assert_same_vectors(group_by_user(tables), events, load_ldap_snapshots(tmp_path / "ldap"))
 
@@ -331,7 +331,7 @@ def test_vectors_match_the_reference_on_a_synthetic_corpus(tmp_path):
 def test_a_row_of_every_kind_of_event_has_the_canonical_names():
     events = every_kind_events(3, ["U1"], 200)
     assert {e.kind for e in events} == set(KINDS)
-    columns = features._Columns(group_by_user(events), ["U1"], CalendarConfig())
+    columns = features._Columns(group_by_user([table_of(events)]), ["U1"], CalendarConfig())
     features._attribute_columns(columns, np.ones((1, len(CATEGORICAL_FIELDS))), DOMAIN)
     assert tuple(columns.names) == features.ATTRIBUTE_NAMES
     assert len(columns.values) == len(columns.names)

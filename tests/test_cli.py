@@ -10,6 +10,7 @@ import pytest
 
 import insiderank.cli as cli
 from insiderank.cli import _case_label, _grid_cases, main
+from insiderank.ingest import LOG_LAYOUTS
 
 SPEED_KEYS = dict(
     synth_n_users=14,
@@ -417,6 +418,20 @@ def test_unsupported_logs_warned_and_skipped(tmp_path, corpus, capsys):
     err = capsys.readouterr().err
     assert "skipping unsupported log file: http.csv" in err
     assert "skipping unsupported log file: psychometric.csv" in err
+
+
+def test_synth_manifest_counts_the_rows_of_each_log(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"))
+    assert main(["synth", "--config", config]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    rows = manifest["stats"]["synth"]["rows"]
+    assert sorted(rows) == sorted(layout.file_name for layout in LOG_LAYOUTS.values())
+    for name, count in rows.items():
+        with open(corpus / name, newline="") as fh:
+            assert count == len(list(csv.reader(fh))) - 1 > 0, name
+    assert f"corpus of {sum(rows.values())} log rows under" in capsys.readouterr().out
 
 
 def test_manifest_records_run(tmp_path, messy_corpus):

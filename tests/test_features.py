@@ -20,7 +20,9 @@ from insiderank.features import (
     read_nodes_csv,
     write_nodes_csv,
 )
-from insiderank.ingest import EmailPayload, FilePayload, LogEvent, OrgDirectory, UserRecord
+from insiderank.ingest import OrgDirectory, UserRecord
+
+from event_records import EmailPayload, FilePayload, LogEvent, events_of, table_of
 
 
 def _directory(n=2):
@@ -40,6 +42,12 @@ def _logon(uid, stamp, pc="PC-1", kind="logon", eid="x"):
 
 def idx(name):
     return ATTRIBUTE_NAMES.index(name)
+
+
+def _extract(events_by_user, directory):
+    """extract_attributes of the events listed under each user."""
+    events = [e for user_events in events_by_user.values() for e in user_events]
+    return extract_attributes(group_by_user([table_of(events)]), directory)
 
 
 def test_attribute_name_list_is_canonical():
@@ -76,7 +84,7 @@ def test_logon_time_average_of_8_and_10_is_9():
             _logon("U1", "2010-01-04T10:00:00"),
         ]
     }
-    vectors = extract_attributes(events, directory)
+    vectors = _extract(events, directory)
     vec = {v.user: v.values for v in vectors}["U1"]
     assert vec[idx("logon_time_all_avg")] == 9.0
     assert vec[idx("logon_time_all_max")] == 10.0
@@ -97,7 +105,7 @@ def test_daily_counts_use_active_days_only():
             _logon("U1", "2010-01-06T09:00:00"),
         ]
     }
-    vec = extract_attributes(events, directory)[0].values
+    vec = _extract(events, directory)[0].values
     assert vec[idx("logons_per_day_all_max")] == 3.0
     assert vec[idx("logons_per_day_all_min")] == 1.0
     assert vec[idx("logons_per_day_all_avg")] == 2.0
@@ -105,7 +113,7 @@ def test_daily_counts_use_active_days_only():
 
 def test_zero_activity_defaults_to_zero_but_codes_remain():
     directory = _directory(3)
-    vectors = extract_attributes({}, directory)
+    vectors = extract_attributes(group_by_user(()), directory)
     assert [v.user for v in vectors] == ["U1", "U2", "U3"]
     code_positions = {idx(f"{f}_code") for f in ("role", "functional_unit", "department", "team")}
     for v in vectors:
@@ -141,7 +149,7 @@ def test_email_attributes():
             email("e2", ("u2@dtaa.com",), (), ("y@evil.org",), 300, 2, pc="PC-9"),
         ]
     }
-    vec = extract_attributes(events, directory)[0].values
+    vec = _extract(events, directory)[0].values
     assert vec[idx("email_recipients_to_max")] == 2.0
     assert vec[idx("email_recipients_to_min")] == 1.0
     assert vec[idx("email_recipients_cc_avg")] == 0.5
@@ -168,7 +176,7 @@ def test_file_type_ratios():
             LogEvent(f"g{i}", datetime.fromisoformat(stamp), "U1", "PC-1", "file_copy",
                      FilePayload(f"blob{i}.{ext}"))
         )
-    vec = extract_attributes({"U1": files}, directory)[0].values
+    vec = _extract({"U1": files}, directory)[0].values
     assert vec[idx("file_ratio_doc")] == pytest.approx(0.3)
     ratio_sum = sum(vec[idx(f"file_ratio_{e}")] for e in ("doc", "exe", "jpg", "pdf", "txt", "zip"))
     assert ratio_sum == pytest.approx(1.0)
@@ -178,7 +186,7 @@ def test_file_type_ratios():
         LogEvent("h0", datetime.fromisoformat(stamp), "U1", "PC-1", "file_copy",
                  FilePayload("weird.xyz"))
     )
-    vec = extract_attributes({"U1": files}, directory)[0].values
+    vec = _extract({"U1": files}, directory)[0].values
     assert vec[idx("file_ratio_doc")] == pytest.approx(3 / 11)
 
 
@@ -193,7 +201,7 @@ def test_usb_attributes_count_connects_and_devices():
             mk("d4", "2010-01-05T10:00:00", "PC-3", "device_connect"),
         ]
     }
-    vec = extract_attributes(events, directory)[0].values
+    vec = _extract(events, directory)[0].values
     assert vec[idx("usb_uses_per_day_all_max")] == 2.0  # two connects on Jan 4
     assert vec[idx("usb_uses_per_day_all_min")] == 1.0
     assert vec[idx("usb_uses_per_day_bh_avg")] == 1.0
@@ -215,7 +223,7 @@ def test_times_stay_within_a_day():
             )
         ]
     }
-    vec = extract_attributes(events, directory)[0].values
+    vec = _extract(events, directory)[0].values
     for name in ATTRIBUTE_NAMES:
         if "_time_" in name:
             assert 0.0 <= vec[idx(name)] < 24.0
@@ -223,7 +231,7 @@ def test_times_stay_within_a_day():
 
 def test_unknown_event_user_is_an_error():
     with pytest.raises(ValueError):
-        extract_attributes({"GHOST": []}, _directory())
+        _extract({"GHOST": [_logon("GHOST", "2010-01-04T08:00:00")]}, _directory())
 
 
 def test_group_by_user():
@@ -232,10 +240,10 @@ def test_group_by_user():
         _logon("U1", "2010-01-04T09:00:00", eid="b"),
         _logon("U2", "2010-01-04T10:00:00", eid="c"),
     ]
-    grouped = group_by_user(events)
+    grouped = group_by_user([table_of(events)])
     assert grouped.users == ["U1", "U2"]
     rows = grouped.order[grouped.user[grouped.order] == 1]
-    assert [grouped.table.ids[r] for r in rows] == ["a", "c"]
+    assert [events_of(grouped.table)[r].event_id for r in rows] == ["a", "c"]
 
 
 def test_normalize_matrix_basics():
@@ -256,9 +264,7 @@ def test_normalize_matrix_random_range_and_idempotence():
 
 def test_nodes_csv_round_trip(tmp_path):
     directory = _directory(3)
-    vectors = extract_attributes(
-        {"U1": [_logon("U1", "2010-01-04T08:31:00")]}, directory
-    )
+    vectors = _extract({"U1": [_logon("U1", "2010-01-04T08:31:00")]}, directory)
     users, matrix = attribute_matrix(vectors)
     norm = normalize_matrix(matrix)
     path = tmp_path / "nodes.norm.csv"

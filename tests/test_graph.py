@@ -17,7 +17,9 @@ from insiderank.graph import (
     write_edges_csv,
 )
 from insiderank.features import write_nodes_csv
-from insiderank.ingest import EmailPayload, LogEvent, OrgDirectory, RejectReport, UserRecord
+from insiderank.ingest import OrgDirectory, RejectReport, UserRecord
+
+from event_records import EmailPayload, LogEvent, table_of
 
 
 def _directory():
@@ -52,7 +54,7 @@ def test_hierarchy_and_email_edges():
     directory = _directory()
     attrs, names = _attrs(3)
     events = [_email("ub@dtaa.com", to=("uc@dtaa.com",))]
-    g = build_graph(directory, events, attrs, names)
+    g = build_graph(directory, table_of(events), attrs, names)
     assert g.user_ids == ("UA", "UB", "UC")
     named = {tuple(sorted((g.user_ids[u], g.user_ids[v]))) for u, v in g.edges}
     assert named == {("UA", "UB"), ("UB", "UC")}
@@ -61,7 +63,8 @@ def test_hierarchy_and_email_edges():
 def test_self_email_adds_no_edge():
     directory = _directory()
     attrs, names = _attrs(3)
-    g = build_graph(directory, [_email("ub@dtaa.com", to=("ub@dtaa.com",))], attrs, names)
+    events = [_email("ub@dtaa.com", to=("ub@dtaa.com",))]
+    g = build_graph(directory, table_of(events), attrs, names)
     named = {tuple(sorted((g.user_ids[u], g.user_ids[v]))) for u, v in g.edges}
     assert named == {("UA", "UB")}  # hierarchy only
 
@@ -71,7 +74,7 @@ def test_external_recipients_create_nothing():
     attrs, names = _attrs(3)
     g = build_graph(
         directory,
-        [_email("ub@dtaa.com", to=("friend@gmail.com",), cc=("spam@evil.org",))],
+        table_of([_email("ub@dtaa.com", to=("friend@gmail.com",), cc=("spam@evil.org",))]),
         attrs,
         names,
     )
@@ -88,7 +91,7 @@ def test_unresolvable_internal_address_rejects_whole_email():
         _email("ub@dtaa.com", to=("uc@dtaa.com", "ghost@dtaa.com"), eid="bad"),
         _email("ub@dtaa.com", to=("ua@dtaa.com",), eid="good"),
     ]
-    g = build_graph(directory, events, attrs, names, rejects=rejects)
+    g = build_graph(directory, table_of(events), attrs, names, rejects=rejects)
     named = {tuple(sorted((g.user_ids[u], g.user_ids[v]))) for u, v in g.edges}
     # The UC edge from the first email must not appear: that email is skipped.
     assert named == {("UA", "UB")}
@@ -102,7 +105,7 @@ def test_external_sender_builds_no_edges_and_no_reject():
     rejects = RejectReport()
     g = build_graph(
         directory,
-        [_email("outside@partner.com", to=("ua@dtaa.com", "uc@dtaa.com"))],
+        table_of([_email("outside@partner.com", to=("ua@dtaa.com", "uc@dtaa.com"))]),
         attrs,
         names,
         rejects=rejects,
@@ -118,7 +121,7 @@ def test_subdomain_addresses_count_as_internal():
     rejects = RejectReport()
     build_graph(
         directory,
-        [_email("ub@dtaa.com", to=("nobody@mail.dtaa.com",))],
+        table_of([_email("ub@dtaa.com", to=("nobody@mail.dtaa.com",))]),
         attrs,
         names,
         rejects=rejects,
@@ -133,7 +136,7 @@ def test_duplicate_links_collapse():
         _email("ub@dtaa.com", to=("uc@dtaa.com",), cc=("uc@dtaa.com",), bcc=("uc@dtaa.com",)),
         _email("uc@dtaa.com", to=("ub@dtaa.com",), user="UC"),
     ]
-    g = build_graph(directory, events, attrs, names)
+    g = build_graph(directory, table_of(events), attrs, names)
     assert g.n_edges == 2  # {UA,UB} and {UB,UC} exactly once
 
 
@@ -145,12 +148,12 @@ def test_event_order_does_not_change_the_graph():
         _email("ua@dtaa.com", to=("ub@dtaa.com", "uc@dtaa.com"), eid="2", user="UA"),
         _email("uc@dtaa.com", to=("ua@dtaa.com",), eid="3", user="UC"),
     ]
-    g1 = build_graph(directory, events, attrs, names)
+    g1 = build_graph(directory, table_of(events), attrs, names)
     rng = random.Random(5)
     for _ in range(5):
         shuffled = events[:]
         rng.shuffle(shuffled)
-        g2 = build_graph(directory, shuffled, attrs, names)
+        g2 = build_graph(directory, table_of(shuffled), attrs, names)
         assert g2.edges == g1.edges
 
 
@@ -191,7 +194,7 @@ def test_edges_csv_round_trip_and_ordering(tmp_path):
     directory = _directory()
     attrs, names = _attrs(3)
     events = [_email("ub@dtaa.com", to=("uc@dtaa.com",))]
-    g = build_graph(directory, events, attrs, names)
+    g = build_graph(directory, table_of(events), attrs, names)
 
     nodes_path = tmp_path / "nodes.norm.csv"
     edges_path = tmp_path / "edges.csv"

@@ -11,7 +11,7 @@ from insiderank import ingest
 from insiderank.ingest import (
     FILE_KINDS,
     LOG_LAYOUTS,
-    EmailPayload,
+    EventTable,
     OrgDirectory,
     RejectReport,
     SchemaError,
@@ -24,13 +24,15 @@ from insiderank.ingest import (
     write_log_file,
 )
 
+from event_records import EmailPayload, events_of
+
 
 def test_logon_row_hand_parsed():
     lines = [
         "id,date,user,pc,activity",
         "{X1},01/02/2010 08:31:00,U1,PC-1,Logon",
     ]
-    events = parse_log_file(lines, "logon")
+    events = events_of(parse_log_file(lines, "logon"))
     assert len(events) == 1
     e = events[0]
     assert e.event_id == "{X1}"
@@ -42,18 +44,18 @@ def test_logon_row_hand_parsed():
 
 
 def test_logoff_and_device_activities_map_to_kinds():
-    logons = parse_log_file(
+    logons = events_of(parse_log_file(
         ["id,date,user,pc,activity", "a,01/02/2010 17:00:00,U1,PC-1,Logoff"], "logon"
-    )
+    ))
     assert logons[0].kind == "logoff"
-    device = parse_log_file(
+    device = events_of(parse_log_file(
         [
             "id,date,user,pc,activity",
             "b,01/02/2010 09:00:00,U1,PC-1,Connect",
             "c,01/02/2010 09:30:00,U1,PC-1,Disconnect",
         ],
         "device",
-    )
+    ))
     assert [e.kind for e in device] == ["device_connect", "device_disconnect"]
 
 
@@ -62,7 +64,7 @@ def test_email_recipient_lists_split_on_semicolons():
         "id,date,user,pc,to,cc,bcc,from,size,attachments,content",
         'e1,01/05/2010 10:00:00,U1,PC-1,"a@dtaa.com; b@dtaa.com",c@dtaa.com,,u1@dtaa.com,2048,1,hello there',
     ]
-    events = parse_log_file(lines, "email")
+    events = events_of(parse_log_file(lines, "email"))
     assert len(events) == 1
     p = events[0].payload
     assert isinstance(p, EmailPayload)
@@ -81,7 +83,7 @@ def test_header_matching_is_name_based_and_case_insensitive():
         "Activity,USER,id,PC,extra,Date",
         "Logon,U9,x,PC-3,junk,02/01/2011 07:59:00",
     ]
-    events = parse_log_file(lines, "logon")
+    events = events_of(parse_log_file(lines, "logon"))
     assert events[0].user == "U9"
     assert events[0].timestamp == datetime(2011, 2, 1, 7, 59)
 
@@ -104,7 +106,7 @@ def test_malformed_rows_rejected_not_fatal():
         "f,01/02/2010 08:10:00,U2,PC-2,Logoff",
     ]
     rejects = RejectReport()
-    events = parse_log_file(lines, "logon", source="logon.csv", rejects=rejects)
+    events = events_of(parse_log_file(lines, "logon", source="logon.csv", rejects=rejects))
     assert [e.event_id for e in events] == ["a", "f"]
     assert len(rejects) == 4
     files, lines_, reasons = zip(*rejects.rows)
@@ -140,9 +142,10 @@ def test_events_plus_rejects_account_for_every_data_row():
     assert len(events) + len(rejects) == n_rows
 
 
-def test_batch_size_does_not_change_the_parse(monkeypatch):
+def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
     # runs of rejects fill whole batches when they are small; events, code
-    # tables and reject order must not depend on where batches split
+    # tables, reject order and the written file must not depend on where
+    # batches split
     rng = random.Random(11)
     lines = ["id,date,user,pc,to,cc,bcc,from,size,attachments,content"]
     for i in range(300):
@@ -158,10 +161,14 @@ def test_batch_size_does_not_change_the_parse(monkeypatch):
     monkeypatch.setattr(ingest, "_BATCH_ROWS", 7)
     batched_rejects = RejectReport()
     batched = parse_log_file(lines, "email", rejects=batched_rejects)
-    assert batched == whole and len(whole) > 0
+    assert events_of(batched) == events_of(whole) and len(whole) > 0
     assert batched_rejects == whole_rejects and len(whole_rejects) > 0
     assert [line for _, line, _ in whole_rejects.rows] == sorted(
         line for _, line, _ in whole_rejects.rows)
+    write_log_file(tmp_path / "batched.csv", whole, "email")
+    monkeypatch.undo()
+    write_log_file(tmp_path / "whole.csv", whole, "email")
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_round_trip_parse_write_parse(tmp_path):
@@ -174,7 +181,7 @@ def test_round_trip_parse_write_parse(tmp_path):
     out = tmp_path / "email.csv"
     write_log_file(out, first, "email")
     second = read_log_csv(out, "email")
-    assert first == second
+    assert events_of(first) == events_of(second)
 
     file_lines = [
         "id,date,user,pc,filename,content",
@@ -183,7 +190,7 @@ def test_round_trip_parse_write_parse(tmp_path):
     first = parse_log_file(file_lines, "file")
     out = tmp_path / "file.csv"
     write_log_file(out, first, "file")
-    assert read_log_csv(out, "file") == first
+    assert events_of(read_log_csv(out, "file")) == events_of(first)
 
     logon_lines = [
         "id,date,user,pc,activity",
@@ -193,7 +200,7 @@ def test_round_trip_parse_write_parse(tmp_path):
     first = parse_log_file(logon_lines, "logon")
     out = tmp_path / "logon.csv"
     write_log_file(out, first, "logon")
-    assert read_log_csv(out, "logon") == first
+    assert events_of(read_log_csv(out, "logon")) == events_of(first)
 
     device_lines = [
         "id,date,user,pc,activity",
@@ -203,7 +210,7 @@ def test_round_trip_parse_write_parse(tmp_path):
     first = parse_log_file(device_lines, "device")
     out = tmp_path / "device.csv"
     write_log_file(out, first, "device")
-    assert read_log_csv(out, "device") == first
+    assert events_of(read_log_csv(out, "device")) == events_of(first)
 
 
 # One canonical file per log kind, as write_log_file lays it out: columns in
@@ -237,6 +244,38 @@ def test_canonical_log_is_written_back_byte_for_byte(tmp_path, kind):
     assert copy.read_bytes() == source.read_bytes()
 
 
+@pytest.mark.parametrize("year", [1, 999, 2010, 9999])
+def test_written_timestamps_parse_back_in_every_year(tmp_path, year):
+    lines = ["id,date,user,pc,activity", f"a,12/31/{year:04d} 23:59:59,U1,PC-1,Logon"]
+    table = parse_log_file(lines, "logon")
+    write_log_file(tmp_path / "logon.csv", table, "logon")
+    rejects = RejectReport()
+    again = read_log_csv(tmp_path / "logon.csv", "logon", rejects=rejects)
+    assert not rejects.rows and events_of(again) == events_of(table)
+    assert (tmp_path / "logon.csv").read_text().splitlines()[1] == lines[1]
+
+
+def test_event_ids_are_one_string_with_offsets():
+    table = parse_log_file(CANONICAL["email"], "email")
+    assert table.ids == "e1e2"
+    assert table.id_ptr.tolist() == [0, 2, 4]
+    both = EventTable.concat([table, parse_log_file(CANONICAL["file"], "file")])
+    assert both.ids == "e1e2f1f2" and both.id_ptr.tolist() == [0, 2, 4, 6, 8]
+
+
+def test_empty_table_writes_a_header_only(tmp_path):
+    empty = EventTable.concat([])
+    assert len(empty) == 0 and empty.ids == "" and empty.id_ptr.tolist() == [0]
+    write_log_file(tmp_path / "email.csv", empty, "email")
+    assert (tmp_path / "email.csv").read_bytes() == (CANONICAL["email"][0] + "\r\n").encode()
+
+
+def test_a_log_refuses_events_of_another_kind(tmp_path):
+    emails = parse_log_file(CANONICAL["email"], "email")
+    with pytest.raises(ValueError, match=r"a logon log cannot hold \['email'\] events"):
+        write_log_file(tmp_path / "logon.csv", emails, "logon")
+
+
 @pytest.mark.parametrize("kind, activity", [("logon", "Connect"), ("logon", "disconnect"),
                                             ("device", "Logon"), ("device", "LOGOFF")])
 def test_activity_of_the_other_log_is_unknown(kind, activity):
@@ -245,7 +284,7 @@ def test_activity_of_the_other_log_is_unknown(kind, activity):
         ["id,date,user,pc,activity", f"a,01/02/2010 09:00:00,U1,PC-1,{activity}"], kind,
         source="x.csv", rejects=rejects,
     )
-    assert events == []
+    assert events_of(events) == []
     assert rejects.rows == [("x.csv", 2, f"unknown activity {activity!r}")]
     assert rejects.classes == ["unknown activity"]
 

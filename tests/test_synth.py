@@ -1,8 +1,10 @@
+import hashlib
 from collections import deque
 
 import numpy as np
 import pytest
 
+from insiderank import cli
 from insiderank.clustering import ClusterParams, enumerate_clusters_exact, quasi_clique_gamma
 from insiderank.evaluation import load_ground_truth
 from insiderank.features import (
@@ -14,7 +16,7 @@ from insiderank.features import (
     normalize_matrix,
 )
 from insiderank.graph import build_graph
-from insiderank.ingest import load_ldap_snapshots, read_log_csv
+from insiderank.ingest import LOG_LAYOUTS, load_ldap_snapshots, read_log_csv
 from insiderank.synth import (
     GAMMA_FLOOR,
     SynthSpec,
@@ -167,22 +169,21 @@ def test_three_planted_cliques_found_by_exhaustive_search():
 
 
 def load_corpus(out):
-    events = []
-    for kind, name in (("logon", "logon.csv"), ("device", "device.csv"),
-                       ("email", "email.csv"), ("file", "file.csv")):
-        events.extend(read_log_csv(out / name, kind))
+    """The parsed logs, one table per log kind, and the directory."""
+    tables = {kind: read_log_csv(out / layout.file_name, kind)
+              for kind, layout in LOG_LAYOUTS.items()}
     directory = load_ldap_snapshots(out / "ldap")
-    return events, directory
+    return tables, directory
 
 
 def test_silent_user_gets_default_vector(tmp_path):
     spec = small_spec(n_users=5, k_clusters=0, n_outliers=0)
     calendar = CalendarConfig()
     generate_logs(spec, calendar, tmp_path, n_days=5, silent_users={"U0005"})
-    events, directory = load_corpus(tmp_path)
+    tables, directory = load_corpus(tmp_path)
     assert len(directory) == 5
-    assert all(e.user != "U0005" for e in events)
-    vectors = extract_attributes(group_by_user(events), directory, calendar)
+    assert all(t.users[code] != "U0005" for t in tables.values() for code in t.user.tolist())
+    vectors = extract_attributes(group_by_user(tables.values()), directory, calendar)
     users, matrix = attribute_matrix(vectors)
     row = matrix[users.index("U0005")]
     activity = [i for i, name in enumerate(ATTRIBUTE_NAMES) if not name.endswith("_code")]
@@ -198,10 +199,10 @@ def test_outlier_logs_heavy_after_hours(tmp_path):
     )
     calendar = CalendarConfig()
     generate_logs(spec, calendar, tmp_path, n_days=10)
-    events, directory = load_corpus(tmp_path)
+    tables, directory = load_corpus(tmp_path)
     truth = load_ground_truth(tmp_path / "ground_truth.txt")
     assert truth.users == {"U0004"}  # group takes U0001-U0003, outlier is next
-    vectors = extract_attributes(group_by_user(events), directory, calendar)
+    vectors = extract_attributes(group_by_user(tables.values()), directory, calendar)
     users, matrix = attribute_matrix(vectors)
     ah_cols = [
         ATTRIBUTE_NAMES.index(f"logons_per_day_ah_{stat}") for stat in ("max", "min", "avg")
@@ -241,15 +242,10 @@ def test_logs_reconstruct_group_edges(tmp_path):
     spec = small_spec(n_users=14, k_clusters=2, size_range=(4, 5), n_outliers=1)
     calendar = CalendarConfig()
     generate_logs(spec, calendar, tmp_path, n_days=10)
-    events, directory = load_corpus(tmp_path)
-    vectors = extract_attributes(group_by_user(events), directory, calendar)
+    tables, directory = load_corpus(tmp_path)
+    vectors = extract_attributes(group_by_user(tables.values()), directory, calendar)
     users, matrix = attribute_matrix(vectors)
-    graph = build_graph(
-        directory,
-        [e for e in events if e.kind == "email"],
-        normalize_matrix(matrix),
-        ATTRIBUTE_NAMES,
-    )
+    graph = build_graph(directory, tables["email"], normalize_matrix(matrix), ATTRIBUTE_NAMES)
     assert graph.user_ids == tuple(users)
     _, _, planted, hosts = generate_attributed_graph_detailed(spec)
     # group peers email each other, so every planted member has an in-group edge
@@ -259,3 +255,57 @@ def test_logs_reconstruct_group_edges(tmp_path):
     # the outlier reaches its host group through email or supervisor links
     for o, g in hosts.items():
         assert graph.adjacency[o] & set(planted[g].members)
+
+
+# sha256 of every file generate_logs writes, keyed by its path under the
+# corpus directory: the CLI's default synth spec at seeds 1 and 2, and the
+# benchmark's cap spec (200 users, 60 days) at seed 1.  Taken from the
+# generator that built and wrote one event object at a time; the columnar
+# generator must keep every byte and every rng draw.
+PINNED_SYNTH = {
+    "default-1": {
+        "logon.csv": "9d36cfc49179db6c30ea55c84dba56db175264320ae536b2752ba33b6e6887cb",
+        "device.csv": "10f0e3e4010fd7484b2431be0133f1b6751fdce2e3643e0b7c1f5f99b210a39d",
+        "email.csv": "d5046db56348ad0a7a8ed0dce5f0fc88ff68e7ab6f91c7fde23f835241226f9e",
+        "file.csv": "f46de7f4cbeef035de7fd5dcb83d565c78f1c103f1847a8745db4198a59b3d84",
+        "ldap/2009-12.csv": "e6bb3cb01d8abb2879987bf77918a4f6cf4ffa8519c8238d79fbaef07c64a7dd",
+        "ground_truth.txt": "587c73b632e7ce82c05fa32cc336951573a6ce1059a267b65e56d631b25819d2",
+    },
+    "default-2": {
+        "logon.csv": "6ed4ca6a53b0ffa8390d7cfe391ffa7fd3ece0f3cb64683ca91170f0734fc977",
+        "device.csv": "5fe774ac0fc67a35119244b7c23746fd2fabeebc8ef6a172337d5e70faf777af",
+        "email.csv": "86b48632c578d684936cef120127114027f721481d3e66bb9ed0b6e2e795cb8d",
+        "file.csv": "cd4d5df4b4c1d0f3f8c12951d253b2a1fa56e5b7967a37e325972352042dc896",
+        "ldap/2009-12.csv": "3c5a58f36e46530433ee494e9ba83447f024b3ed300af4a5d6bab4628a2332ec",
+        "ground_truth.txt": "0853222a46c59f5496bdf3ec827bde0e29041dbc37a552e2fee94337b452e588",
+    },
+    "cap-1": {
+        "logon.csv": "426a42c8fd12fb8063043f2648c300c48a4c2691a4119ffd2381aee0e7aa9640",
+        "device.csv": "2878452f7ced6ed20e087d763edc223f6475b02d53e82d2c28d187fccb006572",
+        "email.csv": "67bfb014d19866ebba74c5d3ab85fe6b35ebd0aa68116c202b218447d7190c05",
+        "file.csv": "7193cf1a4d34b504729c9487cc465fd73c3a028a91ad86c0a49928f0aa36982e",
+        "ldap/2009-12.csv": "cfc3d746284ff102a492e80e5c29a70608cd69da632ce9711388007e7509ee36",
+        "ground_truth.txt": "c1577aeb18874beb5d71f28ec31d2c282b29a226cd838fbd06af4ff88a7ccd0e",
+    },
+}
+
+
+def _pinned_case(case):
+    """The spec, calendar and day count of a PINNED_SYNTH case."""
+    name, seed = case.rsplit("-", 1)
+    if name == "default":
+        cfg = {**cli.DEFAULTS, "rng_seed": int(seed)}
+        return cli._synth_spec(cfg), cli._calendar(cfg), cfg["synth_n_days"]
+    spec = SynthSpec(n_users=200, k_clusters=20, size_range=(5, 9), subspace_range=(8, 10),
+                     p_in=0.9, p_out=0.05, n_attributes=40, width=0.05, n_outliers=10,
+                     rng_seed=int(seed))
+    return spec, CalendarConfig(), 60
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SYNTH))
+def test_synth_output_is_pinned(tmp_path, case):
+    spec, calendar, n_days = _pinned_case(case)
+    corpus = generate_logs(spec, calendar, tmp_path, n_days=n_days)
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in corpus.paths}
+    assert written == PINNED_SYNTH[case]

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from insiderank.ingest import TIMESTAMP_FORMAT, RejectReport, parse_log_file, parse_timestamp
 
+from event_records import events_of
+
 
 # Digits strptime's \\d also matches: Arabic-Indic, Devanagari, fullwidth.
 _OTHER_DIGITS = "\u0660\u0663\u0669\u0966\u0967\uff10\uff11\uff12"
@@ -127,7 +129,7 @@ def _assert_carries(table, row, expected):
     assert table.weekday()[row] == expected.weekday()
     assert table.tod[row] == ((expected.hour * 60 + expected.minute) * 60
                               + expected.second) * 1_000_000
-    assert table[row].timestamp == expected
+    assert events_of(table)[row].timestamp == expected
 
 
 @settings(max_examples=1000, deadline=None)
