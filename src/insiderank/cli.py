@@ -493,7 +493,7 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
     stats = manifest.data["stats"]
     stats[f"clusters:{out.name}"] = len(result.clusters)
     if result.stats:
-        stats[f"grasp:{out.name}"] = result.stats
+        stats[f"grasp:{out.name}"] = {**result.stats, **result.timings}
     print(f"cluster: {len(result.clusters)} clusters "
           f"(c_max={result.c_max}, s_max={result.s_max})")
 

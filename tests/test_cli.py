@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -11,6 +12,8 @@ import pytest
 import insiderank.cli as cli
 from insiderank.cli import _case_label, _grid_cases, main
 from insiderank.ingest import LOG_LAYOUTS
+from insiderank.synth import generate_logs
+from test_synth import _pinned_case
 
 SPEED_KEYS = dict(
     synth_n_users=14,
@@ -452,6 +455,11 @@ def test_manifest_records_run(tmp_path, messy_corpus):
     assert grasp["rounds"] >= grasp["valid_rounds"] >= grasp["unique_clusters"]
     assert grasp["unique_clusters"] >= grasp["admitted_clusters"] == manifest["stats"]["clusters:out"]
     assert grasp["growth_steps"] > 0 and grasp["local_search_moves"] >= 0
+    # one scan per move and one that finds none, for each grown set searched
+    searched = grasp["valid_rounds"] - grasp["local_search_cache_hits"]
+    assert grasp["local_search_scans"] >= searched > 0
+    assert grasp["swap_bases_skipped"] >= 0 and grasp["removes_prefiltered"] >= 0
+    assert grasp["growth_s"] > 0 and grasp["local_search_s"] > 0
 
     ingest = manifest["stats"]["ingest"]
     for name in MESSY_ROWS:
@@ -552,3 +560,30 @@ def test_case_labels_and_grid_order():
     assert _grid_cases("gamma_min=0.4,0.6") == [
         ("A", {"gamma_min": 0.4}), ("B", {"gamma_min": 0.6}),
     ]
+
+
+# sha256 of the clusters.jsonl that pipeline writes for the synth corpora of
+# PINNED_SYNTH: the CLI's default corpus at seeds 1 and 2, run at default
+# settings with --seed, and the benchmark's cap corpus at seed 1, run as the
+# benchmark runs it (100 GRASP rounds, rng_seed 0).  Taken from the GRASP
+# that grew one round at a time; growth in lock-step must keep every byte.
+PINNED_CLUSTERS = {
+    "default-1": "a7d91f02cd7c9efd28ffc304246d157b2d4463ec7aa81279c1dde0bb045867b5",
+    "default-2": "84be0c4d1bb76f958e094b23236bef87d8afaf1573b8f5781ff3099367dd8371",
+    "cap-1": "3106c1488104926b7d999161514dcd9f9217b295c843090980578a85f20456e1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLUSTERS))
+def test_pipeline_clusters_are_pinned(tmp_path, case):
+    spec, calendar, n_days = _pinned_case(case)
+    generate_logs(spec, calendar, tmp_path / "corpus", n_days=n_days)
+    name, seed = case.rsplit("-", 1)
+    cfg = {"log_dir": str(tmp_path / "corpus"), "out_dir": str(tmp_path / "out")}
+    args = ["--seed", seed] if name == "default" else []
+    if name == "cap":
+        cfg["grasp_iterations"] = 100
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["pipeline", "--config", str(tmp_path / "config.json"), *args]) == 0
+    written = hashlib.sha256((tmp_path / "out" / "clusters.jsonl").read_bytes()).hexdigest()
+    assert written == PINNED_CLUSTERS[case]

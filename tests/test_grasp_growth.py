@@ -2,21 +2,24 @@
 
 ``reference_grow`` is the straightforward growth step that recomputes every
 candidate's subspace width over all columns and its minimum member degree
-over all members.  ``clustering._grow`` keeps incremental state and stops
-early on a quality bound; for the same random stream it must return the
-same vertex set, round by round.
+over all members, one round at a time.  ``clustering._grow_rounds`` grows
+many rounds in lock-step with incremental state and stops each early on a
+quality bound; for the same random stream it must return the same vertex
+set, round by round, whichever rounds share its batch.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from insiderank import clustering
 from insiderank.clustering import (
     ClusterParams,
     _grasp_round,
-    _grow,
+    _grow_rounds,
     _growth_bound,
     _GraspContext,
     _local_search,
@@ -38,7 +41,7 @@ def reference_grow(ctx, rng):
     attrs, adj = ctx.attrs, ctx.adj_matrix
 
     seed_idx = int(rng.choice(len(ctx.seed_edges), p=ctx.seed_probs))
-    u, v = ctx.seed_edges[seed_idx]
+    u, v = map(int, ctx.seed_edges[seed_idx])
 
     members: list[int] = [u, v]
     in_members = np.zeros(ctx.n, dtype=bool)
@@ -133,19 +136,22 @@ def test_growth_bound_is_the_best_quality_over_later_sizes():
     assert checked > 1000
 
 
+def reference_rounds(ctx, rounds):
+    return [reference_grow(ctx, np.random.default_rng((ctx.params.rng_seed, i))) for i in rounds]
+
+
 def assert_same_growth(graph, params, rounds):
-    """Both growth paths on each round's own (rng_seed, round) stream."""
+    """One lock-step batch of rounds against the reference, each on its own
+    (rng_seed, round) stream; returns the number of valid rounds."""
     ctx = _GraspContext(graph, params)
-    if not ctx.seed_edges:
+    if not len(ctx.seed_edges):
         return 0
-    valid = 0
-    for i in range(rounds):
-        got, steps = _grow(ctx, np.random.default_rng((params.rng_seed, i)))
-        want = reference_grow(ctx, np.random.default_rng((params.rng_seed, i)))
-        assert got == want, (params, i)
+    grown = _grow_rounds(ctx, range(rounds))
+    want = reference_rounds(ctx, range(rounds))
+    for i, ((got, steps), expected) in enumerate(zip(grown, want, strict=True)):
+        assert got == expected, (params, i)
         assert 0 <= steps <= graph.n_vertices - 2
-        valid += want is not None
-    return valid
+    return sum(w is not None for w in want)
 
 
 EXPONENTS = (0.0, 1.0, 2.5)
@@ -236,31 +242,103 @@ def test_growth_from_isolated_seed_edges():
             params = ClusterParams(n_min=n_min, s_min=1, w=0.05, gamma_min=gamma_min, rng_seed=4)
             assert assert_same_growth(graph, params, rounds=20) > 0
     ctx = _GraspContext(graph, ClusterParams(n_min=3, s_min=1, w=0.05))
-    grown = [_grow(ctx, np.random.default_rng((0, i))) for i in range(20)]
+    grown = _grow_rounds(ctx, range(20))
     assert (None, 0) in grown and ({4, 5, 6}, 1) in grown
+
+
+def test_batch_mixes_rounds_that_stop_at_different_steps_and_find_nothing():
+    # rounds seeded on an isolated edge find no valid set at step 0, while
+    # the others stop at several later steps; all share one batch
+    rng = np.random.default_rng(77)
+    base = columns_graph(rng)
+    n = base.n_vertices
+    # ten isolated edges whose ends share every attribute value
+    attrs = np.concatenate([base.attributes, np.repeat(base.attributes[:10], 2, axis=0)])
+    isolated = [(n + 2 * i, n + 2 * i + 1) for i in range(10)]
+    graph = make_graph(n + 20, [*base.edges, *isolated], attrs)
+    params = ClusterParams(n_min=3, s_min=9, w=0.1, gamma_min=0.5, rcl_alpha=0.3, rng_seed=2)
+    ctx = _GraspContext(graph, params)
+    grown = _grow_rounds(ctx, range(60))
+    assert [g for g, _ in grown] == reference_rounds(ctx, range(60))
+    steps = {s for g, s in grown if g is not None}
+    assert len(steps) > 3
+    assert (None, 0) in grown
+
+
+def test_one_round_batch_matches_reference():
+    graph, _ = planted_clique_graph()
+    params = ClusterParams(n_min=3, s_min=4, w=0.05, rng_seed=9)
+    ctx = _GraspContext(graph, params)
+    for i in range(5):
+        [(got, _)] = _grow_rounds(ctx, [i])
+        assert got == reference_rounds(ctx, [i])[0] is not None
+
+
+def test_round_result_does_not_depend_on_its_batch(monkeypatch):
+    spec = SynthSpec(n_users=120, k_clusters=8, size_range=(5, 9), subspace_range=(4, 6),
+                     p_in=0.9, p_out=0.05, n_attributes=20, width=0.05, n_outliers=4, rng_seed=5)
+    graph, _ = generate_attributed_graph(spec)
+    ctx = _GraspContext(graph, ClusterParams(n_min=3, s_min=2, w=0.1, rng_seed=4))
+    together = _grow_rounds(ctx, range(24))
+    assert len({s for _, s in together}) > 1
+    for i in (0, 7, 23):
+        assert _grow_rounds(ctx, [i]) == [together[i]]
+    assert _grow_rounds(ctx, [23, 7, 0]) == [together[23], together[7], together[0]]
+    # batches split the rounds without changing any of them
+    monkeypatch.setattr(clustering, "_GROW_BATCH", 5)
+    assert _grow_rounds(ctx, range(24)) == together
+
+
+# Growth steps per round, as the growth that ran one round at a time took
+# them: the early stop, and so the reach it reads, must not move.
+PINNED_STEPS = {
+    "columns-s11": [6, 0, 7, 7, 6, 1, 6, 7, 5, 5, 7, 5, 6, 7, 0, 7],
+    "columns-s9": [8, 19, 8, 8, 8, 9, 8, 22, 15, 8, 8, 8, 8, 19, 22, 8],
+    "synthetic": [1, 1, 5, 5, 1, 8, 4, 2, 3, 6, 1, 7, 7, 2, 0, 1, 7, 4, 1, 7, 5, 5, 2, 0],
+}
+
+
+def test_growth_steps_are_pinned():
+    graph = columns_graph(np.random.default_rng(77))
+    for name, params in (
+        ("columns-s11", ClusterParams(n_min=3, s_min=11, w=0.1, gamma_min=0.5, rcl_alpha=0.3,
+                                      rng_seed=11)),
+        ("columns-s9", ClusterParams(n_min=3, s_min=9, w=0.1, gamma_min=0.3, rcl_alpha=0.0,
+                                     rng_seed=11)),
+    ):
+        grown = _grow_rounds(_GraspContext(graph, params), range(16))
+        assert [steps for _, steps in grown] == PINNED_STEPS[name]
+    spec = SynthSpec(n_users=120, k_clusters=8, size_range=(5, 9), subspace_range=(4, 6),
+                     p_in=0.9, p_out=0.05, n_attributes=20, width=0.05, n_outliers=4, rng_seed=5)
+    graph, _ = generate_attributed_graph(spec)
+    grown = _grow_rounds(_GraspContext(graph, ClusterParams(n_min=3, s_min=2, w=0.1, rng_seed=4)),
+                         range(24))
+    assert [steps for _, steps in grown] == PINNED_STEPS["synthetic"]
 
 
 def test_grasp_round_counts_growth_steps_and_moves():
     graph, groups = planted_clique_graph()
     ctx = _GraspContext(graph, ClusterParams(n_min=3, s_min=4, w=0.05))
-    searched = {}
-    for i in range(10):
-        cluster, steps, moves = _grasp_round(ctx, i, searched)
+    searched, tally = {}, Counter()
+    for grown, steps in _grow_rounds(ctx, range(10)):
+        cluster, moves = _grasp_round(ctx, grown, searched, tally)
         assert cluster is not None and cluster.members in groups
         assert 1 <= steps <= graph.n_vertices - 2 and moves >= 0
+    assert tally["local_search_scans"] == sum(moves + 1 for _, moves in searched.values())
 
 
 def test_local_search_is_searched_once_per_grown_set():
     # every round searched afresh gives the clusters and move count that
-    # grasp_cluster reports; rounds that regrow a set reuse its search
+    # grasp_cluster reports; rounds that regrow a set reuse its search, and
+    # only first searches count toward the scan counters
     graph = random_instance(np.random.default_rng(3))
     params = ClusterParams(n_min=3, s_min=1, w=0.35, gamma_min=0.5, grasp_iterations=60)
     ctx = _GraspContext(graph, params)
-    clusters, moves, grown_sets = set(), 0, []
-    for i in range(params.grasp_iterations):
-        grown, _ = _grow(ctx, np.random.default_rng((params.rng_seed, i)))
+    clusters, moves, grown_sets, tally = set(), 0, [], Counter()
+    for grown, _ in _grow_rounds(ctx, range(params.grasp_iterations)):
         if grown is not None:
-            cluster, climbed = _local_search(ctx, grown)
+            first = frozenset(grown) not in grown_sets
+            cluster, climbed = _local_search(ctx, grown, tally if first else Counter())
             clusters.add(cluster.members)
             moves += climbed
             grown_sets.append(frozenset(grown))
@@ -269,3 +347,7 @@ def test_local_search_is_searched_once_per_grown_set():
     assert result.stats["unique_clusters"] == len(clusters)
     hits = len(grown_sets) - len(set(grown_sets))
     assert result.stats["local_search_cache_hits"] == hits > 0
+    for name in ("local_search_scans", "swap_bases_skipped", "removes_prefiltered"):
+        assert result.stats[name] == tally[name]
+    assert tally["local_search_scans"] >= len(set(grown_sets))
+    assert set(result.timings) == {"growth_s", "local_search_s"}

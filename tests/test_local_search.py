@@ -2,12 +2,15 @@
 
 ``reference_local_search`` is the hill climb as it stood before adds and
 swaps shared one scoring kernel with growth: separate add, remove and swap
-scans with their own vectorized pre-filter.  ``clustering._local_search``
-must return the same cluster after the same number of moves, round by
-round, starting from the set ``_grow`` returns.
+scans with their own vectorized pre-filter, every remove evaluated in full
+and no swap skipped on a bound.  ``clustering._local_search`` must return
+the same cluster after the same number of moves, round by round, starting
+from the set ``_grow_rounds`` returns; ``climb_path`` compares the climbs
+move by move.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -16,12 +19,13 @@ from insiderank.clustering import (
     TwofoldCluster,
     _evaluate,
     _GraspContext,
-    _grow,
+    _grow_rounds,
     _local_search,
+    _neighbours,
     required_degree,
 )
 from insiderank.synth import SynthSpec, generate_attributed_graph
-from test_clustering import planted_clique_graph, random_instance
+from test_clustering import make_graph, planted_clique_graph, random_instance
 
 
 def reference_local_search(ctx: _GraspContext, members: set[int]) -> tuple[TwofoldCluster, int]:
@@ -30,14 +34,27 @@ def reference_local_search(ctx: _GraspContext, members: set[int]) -> tuple[Twofo
     Moves are scanned in a fixed order (ascending vertex index; swaps by
     removed-then-added index) and taken only when the resulting set is a
     valid cluster of strictly higher quality, so the climb is deterministic
-    and terminates.  Candidate moves are pre-filtered with vectorized
-    quality bounds; full validation runs only on improving candidates.
-    Returns the final cluster and the number of moves taken.
+    and terminates.  Returns the final cluster and the number of moves taken.
     """
+    path = reference_path(ctx, members)
+    return path[-1], len(path) - 1
+
+
+def reference_path(ctx: _GraspContext, members: set[int]) -> list[TwofoldCluster]:
+    """The clusters the reference climb passes through, start and end included."""
+    path = [_evaluate(ctx.graph, set(members), ctx.params)]
+    assert path[0] is not None
+    while (better := reference_move(ctx, path[-1])) is not None:
+        path.append(better)
+    return path
+
+
+def reference_move(ctx: _GraspContext, current: TwofoldCluster) -> TwofoldCluster | None:
+    """The first improving move from ``current``, or None.  Candidate adds
+    and swaps are pre-filtered with vectorized quality bounds; full
+    validation runs only on improving candidates."""
     p = ctx.params
     graph, var, adj = ctx.graph, ctx.var_attrs, ctx.adj_matrix
-    current = _evaluate(graph, set(members), p)
-    assert current is not None
 
     def batch_improvers(
         base: np.ndarray, cand: np.ndarray, deg_base: np.ndarray, cur_q: float
@@ -70,76 +87,73 @@ def reference_local_search(ctx: _GraspContext, members: set[int]) -> tuple[Twofo
             ok &= False
         return cand[ok]
 
-    moves = -1  # every pass but the last takes one move
-    improved = True
-    while improved:
-        moves += 1
-        improved = False
-        mem = np.fromiter(current.members, dtype=np.int64)
-        in_cur = np.zeros(ctx.n, dtype=bool)
-        in_cur[mem] = True
-        deg_in = adj[mem].sum(axis=0)
-        cur_q = current.quality
+    mem = np.fromiter(current.members, dtype=np.int64)
+    in_cur = np.zeros(ctx.n, dtype=bool)
+    in_cur[mem] = True
+    deg_in = adj[mem].sum(axis=0)
+    cur_q = current.quality
 
-        # Adds: current is connected and candidates are its neighbors, so
-        # the grown set stays connected and the batch filter is exact.
-        cand = np.flatnonzero(adj[mem].any(axis=0) & ~in_cur)
-        if cand.size:
-            for x in batch_improvers(mem, cand, deg_in, cur_q):
-                c = _evaluate(graph, set(current.members) | {int(x)}, p)
-                if c is not None and c.quality > cur_q:
-                    current = c
-                    improved = True
-                    break
-        if improved:
-            continue
-
-        for y in current.members:
-            rest = set(current.members) - {y}
-            if len(rest) < 2:
-                continue
-            c = _evaluate(graph, rest, p)
+    # Adds: current is connected and candidates are its neighbors, so
+    # the grown set stays connected and the batch filter is exact.
+    cand = np.flatnonzero(adj[mem].any(axis=0) & ~in_cur)
+    if cand.size:
+        for x in batch_improvers(mem, cand, deg_in, cur_q):
+            c = _evaluate(graph, set(current.members) | {int(x)}, p)
             if c is not None and c.quality > cur_q:
-                current = c
-                improved = True
-                break
-        if improved:
+                return c
+
+    for y in current.members:
+        rest = set(current.members) - {y}
+        if len(rest) < 2:
             continue
+        c = _evaluate(graph, rest, p)
+        if c is not None and c.quality > cur_q:
+            return c
 
-        for y in current.members:
-            base = mem[mem != y]
-            deg_base = deg_in - adj[y]
-            nb = adj[base].any(axis=0)
-            nb[mem] = False
-            cand = np.flatnonzero(nb)
-            if not cand.size:
-                continue
-            for x in batch_improvers(base, cand, deg_base, cur_q):
-                c = _evaluate(graph, set(int(b) for b in base) | {int(x)}, p)
-                if c is not None and c.quality > cur_q:
-                    current = c
-                    improved = True
-                    break
-            if improved:
-                break
-    return current, moves
+    for y in current.members:
+        base = mem[mem != y]
+        deg_base = deg_in - adj[y]
+        nb = adj[base].any(axis=0)
+        nb[mem] = False
+        cand = np.flatnonzero(nb)
+        if not cand.size:
+            continue
+        for x in batch_improvers(base, cand, deg_base, cur_q):
+            c = _evaluate(graph, set(int(b) for b in base) | {int(x)}, p)
+            if c is not None and c.quality > cur_q:
+                return c
+    return None
 
 
-def assert_same_climbs(graph, params, rounds):
-    """Both climbs from each round's grown set; returns (climbs, moves)."""
+def climb_path(ctx: _GraspContext, members: set[int], tally: Counter) -> list[TwofoldCluster]:
+    """The clusters the library climb passes through: each move is the first
+    valid, strictly better set that ``_neighbours`` yields."""
+    path = [_evaluate(ctx.graph, set(members), ctx.params)]
+    while True:
+        current = path[-1]
+        clusters = (_evaluate(ctx.graph, s, ctx.params) for s in _neighbours(ctx, current, tally))
+        better = next((c for c in clusters if c is not None and c.quality > current.quality), None)
+        if better is None:
+            return path
+        path.append(better)
+
+
+def assert_same_climbs(graph, params, rounds, tally=None):
+    """Both climbs from each round's grown set, move by move; returns
+    (climbs, moves)."""
     ctx = _GraspContext(graph, params)
-    if not ctx.seed_edges:
+    if not len(ctx.seed_edges):
         return 0, 0
+    tally = Counter() if tally is None else tally
     climbs = moves = 0
-    for i in range(rounds):
-        grown, _ = _grow(ctx, np.random.default_rng((params.rng_seed, i)))
+    for i, (grown, _) in enumerate(_grow_rounds(ctx, range(rounds))):
         if grown is None:
             continue
-        got = _local_search(ctx, grown)
-        want = reference_local_search(ctx, grown)
-        assert got == want, (params, i)
+        want = reference_path(ctx, grown)
+        assert climb_path(ctx, grown, Counter()) == want, (params, i)
+        assert _local_search(ctx, grown, tally) == (want[-1], len(want) - 1), (params, i)
         climbs += 1
-        moves += want[1]
+        moves += len(want) - 1
     return climbs, moves
 
 
@@ -178,3 +192,94 @@ def test_local_search_matches_reference_on_synthetic_graph():
         got = assert_same_climbs(graph, params, rounds=15)
         climbs, moves = climbs + got[0], moves + got[1]
     assert climbs > 0 and moves > 0
+
+
+def assert_same_climbs_from(graph, params, starts):
+    """Both climbs from each given start set, move by move; returns the tally."""
+    ctx = _GraspContext(graph, params)
+    tally = Counter()
+    for start in starts:
+        want = reference_path(ctx, set(start))
+        assert climb_path(ctx, set(start), tally) == want, (params, start)
+    return tally
+
+
+def test_local_search_bound_with_a_degree_floor_short_of_connectivity():
+    # two triangles joined through vertex 3: at gamma_min 0.3 the set
+    # without 3 meets the degree floor and is of higher quality (3 differs
+    # in two columns), but it is disconnected, so the remove must still be
+    # left to the connectivity check
+    attrs = np.full((7, 4), 0.5)
+    attrs[3, :2] = 0.9
+    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]
+    graph = make_graph(7, edges, attrs)
+    params = ClusterParams(n_min=3, s_min=1, w=0.1, gamma_min=0.3)
+    rest = set(range(7)) - {3}
+    assert _evaluate(graph, rest, params) is None
+    start = _evaluate(graph, set(range(7)), params)
+    assert start is not None and start.quality < 6 * 4 * (2 / 5)
+    # every other remove leaves a vertex below the degree floor
+    assert assert_same_climbs_from(graph, params, [range(7)])["removes_prefiltered"] == 6
+    climbs = 0
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        climbs += assert_same_climbs(random_instance(rng), ClusterParams(
+            n_min=3, s_min=1, w=0.35, gamma_min=0.3, rng_seed=4), rounds=6)[0]
+    assert climbs > 50
+
+
+def test_local_search_bound_when_quality_is_flat_in_subspace_or_density():
+    spec = SynthSpec(n_users=80, k_clusters=6, size_range=(5, 8), subspace_range=(3, 6),
+                     p_in=0.8, p_out=0.06, n_attributes=16, width=0.05, n_outliers=3, rng_seed=12)
+    graph, _ = generate_attributed_graph(spec)
+    for b, c in ((0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (0.0, 2.5)):
+        tally = Counter()
+        params = ClusterParams(n_min=3, s_min=2, w=0.1, gamma_min=0.5, b_exp=b, c_exp=c, rng_seed=6)
+        climbs, moves = assert_same_climbs(graph, params, rounds=12, tally=tally)
+        assert climbs > 0
+        assert tally["local_search_scans"] == climbs + moves
+
+
+def test_local_search_when_every_remove_falls_below_a_floor():
+    # at n_min equal to the cluster's size every remove is below the size
+    # floor, and at s_min equal to its subspace size every add or swap that
+    # narrows the subspace is below the subspace floor
+    graph, groups = planted_clique_graph()
+    ctx = _GraspContext(graph, ClusterParams(n_min=3, s_min=4, w=0.05))
+    start = _evaluate(graph, set(groups[1]), ctx.params)
+    assert len(start.subspace) == 4
+    for n_min, s_min in ((5, 1), (2, 4), (5, 4)):
+        params = ClusterParams(n_min=n_min, s_min=s_min, w=0.05, gamma_min=0.5)
+        tally = assert_same_climbs_from(graph, params, [groups[1]])
+        if n_min == 5:
+            assert tally["removes_prefiltered"] >= 5
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        graph = random_instance(rng)
+        ctx = _GraspContext(graph, ClusterParams(n_min=2, s_min=1, w=0.35))
+        for grown, _ in _grow_rounds(ctx, range(6)):
+            if grown is None:
+                continue
+            found = _local_search(ctx, grown)[0]
+            floor = ClusterParams(n_min=len(found.members), s_min=len(found.subspace), w=0.35)
+            tally = assert_same_climbs_from(graph, floor, [found.members])
+            assert tally["removes_prefiltered"] == len(found.members)
+
+
+def test_local_search_from_a_full_clique():
+    # gamma is 1, so the swap bound's density term is 1 for every removed
+    # member and only the subspace can rule a swap out
+    graph, groups = planted_clique_graph()
+    params = ClusterParams(n_min=3, s_min=2, w=0.05, gamma_min=0.5)
+    for group in groups:
+        start = _evaluate(graph, set(group), params)
+        assert start.gamma == 1.0
+    tally = assert_same_climbs_from(graph, params, groups + [group[:3] for group in groups])
+    assert tally["swap_bases_skipped"] > 0
+    rng = np.random.default_rng(8)
+    attrs = rng.random((9, 6))
+    attrs[:6, :3] = 0.4 + 0.02 * rng.random((6, 3))
+    clique = make_graph(9, [*itertools.combinations(range(6), 2), (5, 6), (6, 7), (7, 8), (2, 8)], attrs)
+    for a, b, c in itertools.product((0.0, 1.0, 2.5), repeat=3):
+        params = ClusterParams(n_min=2, s_min=1, w=0.05, gamma_min=0.3, a_exp=a, b_exp=b, c_exp=c)
+        assert_same_climbs_from(clique, params, [range(6), range(4), (4, 5, 6)])
