@@ -52,7 +52,7 @@ with tempfile.TemporaryDirectory(prefix="demo_logs_") as tmp:
     vectors = extract_attributes(group_by_user(logs.values()), directory, calendar)
     users, matrix = attribute_matrix(vectors)
     graph = build_graph(directory, logs["email"], normalize_matrix(matrix), ATTRIBUTE_NAMES)
-    print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
+    print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
 
     params = ClusterParams(n_min=3, s_min=6, gamma_min=0.5, w=0.06,
                            grasp_iterations=600, rng_seed=23)

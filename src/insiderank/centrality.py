@@ -10,11 +10,13 @@ All three are classical definitions on an undirected simple graph:
 
 Betweenness is Brandes' dependency accumulation in two arithmetic domains.
 The float path (the default) runs it level-synchronously over fixed blocks
-of sources with dense float64 matrix products: one product with the
-adjacency per BFS level forward, to count shortest paths, and one per level
-backward, to accumulate dependencies.  Blocks are reduced in ascending
-source order, so the result is deterministic; multithreaded BLAS may round
-differently from single-threaded BLAS in the last bits.  The exact path
+of sources with dense float64 matrix products.  Forward, level 1 is the
+sources' adjacency columns and one product per further level counts
+shortest paths, until every vertex has a level or a level finds none.
+Backward, one product per level down to level 2 accumulates dependencies.
+Blocks are reduced in ascending source order, so the result is
+deterministic; multithreaded BLAS may round differently from
+single-threaded BLAS in the last bits.  The exact path
 (``exact=True``) runs one BFS plus reverse sweep per source in rational
 arithmetic and matches an independent path-enumeration oracle bit for bit
 after the final float conversion.  It also serves graphs whose path counts
@@ -128,9 +130,10 @@ _BLOCK = 128
 _EXACT_SIGMA_LIMIT = 2.0**53
 
 
-def _source_dependencies(graph: AttributedGraph, s: int) -> list[Fraction]:
-    """BFS from s plus the reverse dependency sweep, in exact rationals."""
-    n = graph.n_vertices
+def _source_dependencies(neighbours: list[list[int]], s: int) -> list[Fraction]:
+    """BFS from s plus the reverse dependency sweep, in exact rationals;
+    ``neighbours[v]`` lists the neighbours of v in ascending order."""
+    n = len(neighbours)
     sigma = [0] * n
     sigma[s] = 1
     dist = [-1] * n
@@ -142,7 +145,7 @@ def _source_dependencies(graph: AttributedGraph, s: int) -> list[Fraction]:
         v = queue.popleft()
         order.append(v)
         dv = dist[v]
-        for w in sorted(graph.adjacency[v]):
+        for w in neighbours[v]:
             if dist[w] < 0:
                 dist[w] = dv + 1
                 queue.append(w)
@@ -160,9 +163,10 @@ def _source_dependencies(graph: AttributedGraph, s: int) -> list[Fraction]:
 
 def _exact_betweenness(graph: AttributedGraph) -> np.ndarray:
     n = graph.n_vertices
+    neighbours = [np.flatnonzero(row).tolist() for row in graph.adjacency_matrix()]
     totals = [Fraction(0)] * n
     for s in range(n):
-        delta = _source_dependencies(graph, s)
+        delta = _source_dependencies(neighbours, s)
         for v in range(n):
             if v != s:
                 totals[v] += delta[v]
@@ -179,12 +183,12 @@ def _block_dependencies(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarra
     columns = np.arange(b)
     level = np.full((n, b), -1, dtype=np.int32)
     level[sources, columns] = 0
-    frontier = np.zeros((n, b))
-    frontier[sources, columns] = 1.0
-    sigma = frontier.copy()
+    sigma = np.zeros((n, b))
+    sigma[sources, columns] = 1.0
+    # each source's neighbours, one path each, are its level 1
+    reach = adjacency[:, sources]
     depth = 0
     while True:
-        reach = adjacency @ frontier
         new = (reach > 0) & (level < 0)
         if not new.any():
             break
@@ -192,6 +196,9 @@ def _block_dependencies(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarra
         level[new] = depth
         frontier = np.where(new, reach, 0.0)
         sigma += frontier
+        if (level >= 0).all():
+            break
+        reach = adjacency @ frontier
     if sigma.max() >= _EXACT_SIGMA_LIMIT:
         return None
 

@@ -474,7 +474,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
         **degree_profile(graph),
         "rejected": len(rejects), "rejected_by_reason": rejects.counts_by_class(),
     }
-    print(f"graph: {len(graph.user_ids)} vertices, {len(graph.edges)} edges")
+    print(f"graph: {graph.n_vertices} vertices, {graph.n_edges} edges")
 
 
 def _centralities(cfg, graph: AttributedGraph) -> CentralityTable:

@@ -133,16 +133,16 @@ def required_degree(size: int, gamma_min: float) -> int:
 
 
 def quasi_clique_gamma(graph: AttributedGraph, members: Iterable[int]) -> float:
-    members = set(members)
+    members = sorted(set(members))
     if len(members) < 2:
         raise ValueError("gamma needs at least two vertices")
-    denom = len(members) - 1
-    return min(len(graph.adjacency[v] & members) for v in members) / denom
+    sub = graph.adjacency_matrix()[np.ix_(members, members)]
+    return int(sub.sum(axis=1).min()) / (len(members) - 1)
 
 
 def max_subspace(members: Sequence[int], attrs: np.ndarray, w: float) -> tuple[int, ...]:
     """All attribute columns whose value range over ``members`` is at most ``w``."""
-    rows = attrs[list(members)]
+    rows = attrs.take(members, axis=0)
     widths = rows.max(axis=0) - rows.min(axis=0)
     return tuple(np.flatnonzero(widths <= w).tolist())
 
@@ -153,19 +153,15 @@ def quality(size, s_size, gamma, params: ClusterParams):
     return (size ** params.a_exp) * (s_size ** params.b_exp) * (gamma ** params.c_exp)
 
 
-def _connected(members: set[int], graph: AttributedGraph) -> bool:
-    start = next(iter(members))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in graph.adjacency[v] & members:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == len(members)
+def _connected(sub: np.ndarray) -> bool:
+    """Whether the graph with boolean adjacency matrix ``sub`` is connected."""
+    seen = np.zeros(len(sub), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = sub[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def _evaluate(graph: AttributedGraph, members: set[int], params: ClusterParams) -> TwofoldCluster | None:
@@ -173,17 +169,20 @@ def _evaluate(graph: AttributedGraph, members: set[int], params: ClusterParams) 
     size = len(members)
     if size < params.n_min:
         return None
-    min_deg = min(len(graph.adjacency[v] & members) for v in members)
+    ordered = np.array(sorted(members))
+    sub = graph.adjacency_matrix().take(ordered, axis=0).take(ordered, axis=1)
+    min_deg = min(sub.sum(axis=0).tolist())
     if min_deg < required_degree(size, params.gamma_min):
         return None
-    if not _connected(members, graph):
+    # with every degree at least (size - 1) / 2, any two members meet
+    if 2 * min_deg < size - 1 and not _connected(sub):
         return None
-    subspace = max_subspace(sorted(members), graph.attributes, params.w)
+    subspace = max_subspace(ordered, graph.attributes, params.w)
     if len(subspace) < params.s_min:
         return None
     gamma = min_deg / (size - 1)
     return TwofoldCluster(
-        members=tuple(sorted(members)),
+        members=tuple(ordered.tolist()),
         subspace=subspace,
         gamma=gamma,
         quality=quality(size, len(subspace), gamma, params),
@@ -276,7 +275,7 @@ class _GraspContext:
         # valid cluster.  Weights bias sampling toward attribute-similar pairs.
         # A pair's subspace is the constant columns plus its coherent variable
         # ones, counted a chunk of edges at a time.
-        edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+        edges = graph.edges
         sizes = np.empty(len(edges))
         step = _block_rows(self.var_attrs.shape[1])
         for lo in range(0, len(edges), step):

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import _is_internal, read_nodes_csv
-from .ingest import EMAIL, EventTable, OrgDirectory, RejectReport, _csv_rows, _distinct
+from .ingest import EMAIL, EventTable, OrgDirectory, RejectReport, _csv_rows
 
 __all__ = [
     "AttributedGraph",
@@ -39,12 +39,14 @@ _EXTERNAL, _UNRESOLVED = -1, -2
 
 
 class AttributedGraph:
-    """Immutable undirected simple graph plus an aligned attribute matrix."""
+    """Immutable undirected simple graph plus an aligned attribute matrix.
+    ``edges`` holds the pairs ``u < v`` in ascending order as a read-only
+    ``(m, 2)`` int64 array, and ``adjacency_matrix()`` is built from them."""
 
     def __init__(
         self,
         user_ids: Sequence[str],
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         attributes: np.ndarray,
         attribute_names: Sequence[str],
     ) -> None:
@@ -61,21 +63,23 @@ class AttributedGraph:
             )
         self.index: dict[str, int] = {u: i for i, u in enumerate(self.user_ids)}
 
-        edge_set: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            edge_set.add((u, v) if u < v else (v, u))
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(edge_set))
-
-        adjacency: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(a) for a in adjacency)
-        self._matrix: np.ndarray | None = None
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        outside = (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1)
+        bad = np.flatnonzero(outside | (u == v))
+        if bad.size:
+            i = bad[0]
+            if outside[i]:
+                raise ValueError(f"edge ({u[i]}, {v[i]}) out of range for {n} vertices")
+            raise ValueError(f"self-loop at vertex {u[i]}")
+        # the matrix collapses duplicate and reversed pairs
+        self._matrix = np.zeros((n, n), dtype=bool)
+        self._matrix[u, v] = self._matrix[v, u] = True
+        self._matrix.flags.writeable = False
+        self.edges: np.ndarray = np.argwhere(np.triu(self._matrix))
+        self.edges.flags.writeable = False
         self._float_matrix: np.ndarray | None = None
 
     @property
@@ -87,15 +91,10 @@ class AttributedGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return self._matrix.sum(axis=1, dtype=np.int64)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency; cached after the first call."""
-        if self._matrix is None:
-            m = np.zeros((self.n_vertices, self.n_vertices), dtype=bool)
-            for u, v in self.edges:
-                m[u, v] = m[v, u] = True
-            self._matrix = m
+        """Dense read-only boolean adjacency."""
         return self._matrix
 
     def float_adjacency_matrix(self) -> np.ndarray:
@@ -128,16 +127,15 @@ def build_graph(
     index = {u: i for i, u in enumerate(user_ids)}
     address_book = directory.email_to_user()
 
-    edges: set[tuple[int, int]] = set()
+    hierarchy: list[tuple[int, int]] = []
     for uid in user_ids:
         sup = directory.users[uid].supervisor
         if sup is None:
             continue
         if sup not in index:
             raise ValueError(f"user {uid!r} has supervisor {sup!r} outside the directory")
-        a, b = index[uid], index[sup]
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
+        if sup != uid:
+            hierarchy.append((index[uid], index[sup]))
 
     table = email_events
 
@@ -172,10 +170,8 @@ def build_graph(
     # an external sender anchors no edges
     s = sender[row]
     linked = ~bad[row] & (s >= 0) & (recipient >= 0) & (recipient != s)
-    n = max(len(user_ids), 1)
-    pairs = _distinct(np.minimum(s, recipient)[linked] * n + np.maximum(s, recipient)[linked])
-    edges.update(zip((pairs // n).tolist(), (pairs % n).tolist()))
-
+    edges = np.concatenate([np.array(hierarchy, np.int64).reshape(-1, 2),
+                            np.column_stack([s[linked], recipient[linked]])])
     return AttributedGraph(user_ids, edges, attributes, attribute_names)
 
 
@@ -197,17 +193,17 @@ def degree_profile(graph: AttributedGraph) -> dict[str, float]:
 
 def write_edges_csv(path: str | Path, graph: AttributedGraph) -> None:
     """Write undirected edges as ``src,dst`` user-id pairs, src < dst."""
-    rows = sorted(
-        tuple(sorted((graph.user_ids[u], graph.user_ids[v]))) for u, v in graph.edges
-    )
+    names = graph.user_ids
+    rows = sorted(tuple(sorted((names[u], names[v]))) for u, v in graph.edges.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
         writer.writerows(rows)
 
 
-def read_edges_csv(path: str | Path, index: Mapping[str, int]) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
+def read_edges_csv(path: str | Path, index: Mapping[str, int]) -> np.ndarray:
+    """The ``(m, 2)`` vertex pairs of an edge table, in file order."""
+    ends: list[int] = []
     with open(path, newline="") as fh:
         rows = _csv_rows(fh, str(path))
         _, header = next(rows, (0, None))
@@ -221,8 +217,8 @@ def read_edges_csv(path: str | Path, index: Mapping[str, int]) -> list[tuple[int
             src, dst = row
             if src not in index or dst not in index:
                 raise ValueError(f"{path}: edge references unknown user {row!r}")
-            edges.append((index[src], index[dst]))
-    return edges
+            ends += (index[src], index[dst])
+    return np.array(ends, np.int64).reshape(-1, 2)
 
 
 def load_graph(nodes_csv: str | Path, edges_csv: str | Path) -> AttributedGraph:

@@ -119,24 +119,23 @@ def _user_id(i: int) -> str:
     return f"U{i + 1:04d}"
 
 
-def _gamma_repair(adjacency: list[set[int]], members: Sequence[int]) -> list[tuple[int, int]]:
-    """Add edges until the member set reaches GAMMA_FLOOR; returns additions.
+def _gamma_repair(adjacency: np.ndarray, members: Sequence[int]) -> None:
+    """Add edges to the boolean ``adjacency`` until the group reaches GAMMA_FLOOR.
 
     Each round picks the sparsest member (ties: lowest index) and joins it to
     its lowest-index non-neighbour in the group, so repair is deterministic.
     """
-    members = list(members)
+    members = sorted(members)
     need = math.ceil(GAMMA_FLOOR * (len(members) - 1))
-    added: list[tuple[int, int]] = []
     while True:
-        degrees = {u: sum(1 for v in members if v in adjacency[u]) for u in members}
-        u = min(members, key=lambda m: (degrees[m], m))
-        if degrees[u] >= need:
-            return added
-        v = min(m for m in members if m != u and m not in adjacency[u])
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        added.append((u, v) if u < v else (v, u))
+        block = adjacency[np.ix_(members, members)]
+        i = int(block.sum(axis=1).argmin())
+        if block[i].sum() >= need:
+            return
+        free = ~block[i]
+        free[i] = False
+        u, v = members[i], members[int(free.argmax())]
+        adjacency[u, v] = adjacency[v, u] = True
 
 
 def generate_attributed_graph_detailed(
@@ -204,25 +203,21 @@ def generate_attributed_graph_detailed(
         np.where(ou | ov, 0.0, spec.p_out),
     )
     keep = rng.random(len(iu)) < threshold
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u, v in zip(iu[keep], iv[keep]):
-        adjacency[u].add(int(v))
-        adjacency[v].add(int(u))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[iu[keep], iv[keep]] = adjacency[iv[keep], iu[keep]] = True
 
     # deterministic repairs: every outlier touches its host, every group
     # reaches the quasi-clique floor
     for o in outliers:
         members = planted[outlier_hosts[o]].members
-        if not any(m in adjacency[o] for m in members):
-            adjacency[o].add(members[0])
-            adjacency[members[0]].add(o)
+        if not adjacency[o, list(members)].any():
+            adjacency[o, members[0]] = adjacency[members[0], o] = True
     for pc in planted:
         _gamma_repair(adjacency, pc.members)
 
-    edges = [(u, v) for u in range(n) for v in sorted(adjacency[u]) if u < v]
     graph = AttributedGraph(
         user_ids=[_user_id(i) for i in range(n)],
-        edges=edges,
+        edges=np.argwhere(np.triu(adjacency)),
         attributes=attrs,
         attribute_names=[f"attr_{j:03d}" for j in range(d)],
     )
@@ -243,12 +238,12 @@ def _self_check(
     outlier_hosts: Mapping[int, int],
 ) -> None:
     """Verify the planted structure actually holds in the emitted graph."""
-    attrs = graph.attributes
+    attrs, adjacency = graph.attributes, graph.adjacency_matrix()
     for g, pc in enumerate(planted):
         members, dims = list(pc.members), list(pc.subspace)
         if quasi_clique_gamma(graph, members) < GAMMA_FLOOR - 1e-12:
             raise RuntimeError(f"self-check: planted cluster {g} misses the gamma floor")
-        if not _connected(set(members), graph):
+        if not _connected(adjacency[np.ix_(members, members)]):
             raise RuntimeError(f"self-check: planted cluster {g} is disconnected")
         block = attrs[np.ix_(members, dims)]
         if float((block.max(axis=0) - block.min(axis=0)).max()) > spec.width + 1e-12:
@@ -258,7 +253,7 @@ def _self_check(
         block = attrs[np.ix_(members + [o], dims)]
         if float((block.max(axis=0) - block.min(axis=0)).max()) <= spec.width:
             raise RuntimeError(f"self-check: outlier {o} does not deviate from cluster {g}")
-        if not any(graph.index[_user_id(o)] in graph.adjacency[m] for m in members):
+        if not adjacency[graph.index[_user_id(o)], members].any():
             raise RuntimeError(f"self-check: outlier {o} is not wired into cluster {g}")
 
 

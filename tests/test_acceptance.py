@@ -46,6 +46,8 @@ from insiderank.ingest import load_ldap_snapshots, read_log_csv
 from insiderank.ranking import compute_scores
 from insiderank.synth import SynthSpec, generate_attributed_graph, generate_attributed_graph_detailed
 
+from graph_sets import neighbour_sets
+
 
 def report(k: int, detail: str) -> None:
     print(f"[criterion {k}] PASS - {detail}")
@@ -150,13 +152,13 @@ def test_criterion_1_scoring_formula_oracle():
 # -- criterion 2: clustering constraint suite --------------------------------
 
 
-def subset_connected(graph, members):
+def subset_connected(adjacency, members):
     members = set(members)
     seen = {next(iter(members))}
     queue = deque(seen)
     while queue:
         v = queue.popleft()
-        for u in graph.adjacency[v] & members:
+        for u in adjacency[v] & members:
             if u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -168,9 +170,10 @@ def check_cluster_contract(graph, cluster, params):
     size = len(members)
     assert size >= params.n_min
     assert list(members) == sorted(set(members))
-    assert subset_connected(graph, members)
+    adjacency = neighbour_sets(graph)
+    assert subset_connected(adjacency, members)
     member_set = set(members)
-    degs = [len(graph.adjacency[v] & member_set) for v in members]
+    degs = [len(adjacency[v] & member_set) for v in members]
     assert min(degs) >= math.ceil(params.gamma_min * (size - 1))
     assert cluster.gamma == min(degs) / (size - 1)
     block = graph.attributes[list(members)]
@@ -309,6 +312,7 @@ def complete(n):
 def brute_betweenness(graph):
     """All-pairs shortest-path counting with exact rational shares."""
     n = len(graph.user_ids)
+    adjacency = neighbour_sets(graph)
     dist = np.full((n, n), -1, dtype=np.int64)
     sigma = np.zeros((n, n), dtype=object)
     for s in range(n):
@@ -317,7 +321,7 @@ def brute_betweenness(graph):
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for u in sorted(graph.adjacency[v]):
+            for u in sorted(adjacency[v]):
                 if dist[s][u] < 0:
                     dist[s][u] = dist[s][v] + 1
                     queue.append(u)

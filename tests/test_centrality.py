@@ -17,6 +17,8 @@ from insiderank.centrality import (
 )
 from insiderank.graph import AttributedGraph
 
+from graph_sets import neighbour_sets
+
 
 def make_graph(n, edges):
     ids = [f"U{i:02d}" for i in range(n)]
@@ -44,14 +46,14 @@ def random_graph(rng, n, p):
     return make_graph(n, edges)
 
 
-def bfs_distances(graph, s):
-    dist = [-1] * graph.n_vertices
+def bfs_distances(adjacency, s):
+    dist = [-1] * len(adjacency)
     dist[s] = 0
     queue = [s]
     while queue:
         nxt = []
         for v in queue:
-            for u in graph.adjacency[v]:
+            for u in adjacency[v]:
                 if dist[u] < 0:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
@@ -59,8 +61,8 @@ def bfs_distances(graph, s):
     return dist
 
 
-def all_shortest_paths(graph, s, t):
-    dist = bfs_distances(graph, s)
+def all_shortest_paths(adjacency, s, t):
+    dist = bfs_distances(adjacency, s)
     if dist[t] < 0:
         return []
     paths = []
@@ -69,7 +71,7 @@ def all_shortest_paths(graph, s, t):
         if v == s:
             paths.append([s] + suffix)
             return
-        for u in graph.adjacency[v]:
+        for u in adjacency[v]:
             if dist[u] == dist[v] - 1:
                 walk(u, [v] + suffix)
 
@@ -79,9 +81,10 @@ def all_shortest_paths(graph, s, t):
 
 def brute_betweenness(graph):
     """Independent oracle: enumerate every shortest path explicitly."""
+    adjacency = neighbour_sets(graph)
     totals = [Fraction(0)] * graph.n_vertices
     for s, t in itertools.combinations(range(graph.n_vertices), 2):
-        paths = all_shortest_paths(graph, s, t)
+        paths = all_shortest_paths(adjacency, s, t)
         if not paths:
             continue
         share = Fraction(1, len(paths))

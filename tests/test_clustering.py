@@ -21,6 +21,8 @@ from insiderank.clustering import (
 )
 from insiderank.graph import AttributedGraph
 
+from graph_sets import neighbour_sets
+
 
 def make_graph(n, edges, attrs):
     ids = [f"U{i:02d}" for i in range(n)]
@@ -29,13 +31,13 @@ def make_graph(n, edges, attrs):
     return AttributedGraph(ids, edges, attrs, names)
 
 
-def connected_oracle(graph, members):
+def connected_oracle(adjacency, members):
     members = set(members)
     stack = [next(iter(members))]
     seen = set(stack)
     while stack:
         v = stack.pop()
-        for u in graph.adjacency[v]:
+        for u in adjacency[v]:
             if u in members and u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -46,9 +48,10 @@ def check_cluster(graph, cluster, params):
     """Independent re-check of every cluster constraint."""
     members = set(cluster.members)
     assert len(members) >= params.n_min
-    degs = [sum(1 for u in graph.adjacency[v] if u in members) for v in members]
+    adjacency = neighbour_sets(graph)
+    degs = [sum(1 for u in adjacency[v] if u in members) for v in members]
     assert min(degs) >= math.ceil(params.gamma_min * (len(members) - 1))
-    assert connected_oracle(graph, members)
+    assert connected_oracle(adjacency, members)
     assert len(cluster.subspace) >= params.s_min
     rows = graph.attributes[sorted(members)]
     for j in range(graph.attributes.shape[1]):
@@ -78,15 +81,16 @@ def all_valid_subsets(graph, params):
     """Test-side brute-force oracle over every vertex subset."""
     found = []
     n = graph.n_vertices
+    adjacency = neighbour_sets(graph)
     for size in range(params.n_min, n + 1):
         for combo in itertools.combinations(range(n), size):
             members = set(combo)
             gamma = quasi_clique_gamma(graph, members)
             if min(
-                sum(1 for u in graph.adjacency[v] if u in members) for v in members
+                sum(1 for u in adjacency[v] if u in members) for v in members
             ) < math.ceil(params.gamma_min * (size - 1)):
                 continue
-            if not connected_oracle(graph, members):
+            if not connected_oracle(adjacency, members):
                 continue
             sub = max_subspace(sorted(members), graph.attributes, params.w)
             if len(sub) < params.s_min:

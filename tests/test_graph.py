@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -154,7 +155,7 @@ def test_event_order_does_not_change_the_graph():
         shuffled = events[:]
         rng.shuffle(shuffled)
         g2 = build_graph(directory, table_of(shuffled), attrs, names)
-        assert g2.edges == g1.edges
+        assert np.array_equal(g2.edges, g1.edges)
 
 
 def test_constructor_rejects_self_loops_and_bad_shapes():
@@ -209,5 +210,101 @@ def test_edges_csv_round_trip_and_ordering(tmp_path):
 
     g2 = load_graph(nodes_path, edges_path)
     assert g2.user_ids == g.user_ids
-    assert g2.edges == g.edges
+    assert np.array_equal(g2.edges, g.edges)
     assert np.array_equal(g2.attributes, g.attributes)
+
+
+# -- the constructor's contract ------------------------------------------------
+
+
+def _graph(n, edges):
+    return AttributedGraph([f"U{i:02d}" for i in range(n)], edges, np.zeros((n, 1)), ["x"])
+
+
+def test_array_and_pair_input_give_the_same_graph():
+    pairs = [(2, 0), (0, 1), (3, 1), (1, 2)]
+    want = _graph(4, pairs)
+    for edges in (np.array(pairs), np.array(pairs, dtype=np.int32), iter(pairs), set(pairs)):
+        g = _graph(4, edges)
+        assert np.array_equal(g.edges, want.edges)
+        assert np.array_equal(g.adjacency_matrix(), want.adjacency_matrix())
+
+
+def test_duplicate_and_reversed_pairs_collapse():
+    g = _graph(4, [(0, 1), (1, 0), (0, 1), (3, 2), (2, 3)])
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
+    assert g.n_edges == 2
+    assert g.degrees().tolist() == [1, 1, 1, 1]
+
+
+def test_edges_are_a_sorted_read_only_int64_array():
+    rng = np.random.default_rng(4)
+    pairs = [(int(u), int(v)) for u, v in rng.integers(0, 30, size=(200, 2)) if u != v]
+    g = _graph(30, pairs)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.n_edges, 2)
+    assert g.edges.tolist() == [list(e) for e in sorted({(min(e), max(e)) for e in pairs})]
+    matrix = g.adjacency_matrix()
+    assert matrix.dtype == bool and np.array_equal(matrix, matrix.T)
+    assert np.array_equal(g.degrees(), np.bincount(g.edges.ravel(), minlength=30))
+    with pytest.raises(ValueError):
+        g.edges[0, 1] = 0
+    with pytest.raises(ValueError):
+        matrix[0, 0] = True
+
+
+def test_empty_edge_list():
+    for edges in ([], np.empty((0, 2), dtype=np.int64)):
+        g = _graph(3, edges)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert g.n_edges == 0
+        assert g.degrees().tolist() == [0, 0, 0]
+        assert not g.adjacency_matrix().any()
+    assert _graph(0, []).edges.shape == (0, 2)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 5)], "self-loop at vertex 2"),
+    ([(0, 1), (0, 5), (2, 2)], "edge (0, 5) out of range for 4 vertices"),
+    ([(1, 0), (-1, 3)], "edge (-1, 3) out of range for 4 vertices"),
+    ([(3, 3), (4, 4)], "self-loop at vertex 3"),
+])
+def test_errors_name_the_first_bad_edge_in_input_order(edges, message):
+    for given in (edges, np.array(edges)):
+        with pytest.raises(ValueError) as err:
+            _graph(4, given)
+        assert str(err.value) == message
+
+
+def test_edges_csv_round_trip_is_array_equal(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 40
+    ids = [f"U{i:03d}" for i in rng.permutation(n)]  # not in sorted order
+    pairs = rng.integers(0, n, size=(150, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = AttributedGraph(ids, pairs, rng.random((n, 2)), ["a", "b"])
+    write_nodes_csv(tmp_path / "nodes.norm.csv", list(g.user_ids), g.attributes, g.attribute_names)
+    write_edges_csv(tmp_path / "edges.csv", g)
+    rows = (tmp_path / "edges.csv").read_text().splitlines()[1:]
+    assert rows == sorted(rows) and all(src < dst for src, dst in (r.split(",") for r in rows))
+    g2 = load_graph(tmp_path / "nodes.norm.csv", tmp_path / "edges.csv")
+    assert g2.user_ids == g.user_ids
+    assert np.array_equal(g2.edges, g.edges)
+
+
+def test_construction_memory_stays_small():
+    # 1000 vertices and 68k distinct edges, about the shape of a CERT-sized
+    # email graph: the edges are held once as an array, plus a 1 MB matrix
+    n, m = 1000, 68_000
+    rng = np.random.default_rng(11)
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.choice(len(iu), size=m, replace=False)
+    edges = np.column_stack([iu[pick], iv[pick]])
+    ids, attrs = [f"U{i:04d}" for i in range(n)], np.zeros((n, 1))
+    tracemalloc.start()
+    try:
+        g = AttributedGraph(ids, edges, attrs, ["x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == m
+    assert peak < 8 * 2**20, f"construction peaked at {peak / 2**20:.1f} MiB"

@@ -28,6 +28,7 @@ from insiderank.clustering import (
     required_degree,
 )
 from insiderank.synth import SynthSpec, generate_attributed_graph
+from graph_sets import neighbour_sets
 from test_clustering import make_graph, planted_clique_graph, random_instance
 
 
@@ -50,7 +51,8 @@ def reference_grow(ctx, rng):
     cur_max = np.maximum(attrs[u], attrs[v])
     deg_in = adj[u].astype(np.int64) + adj[v]
     discarded = np.zeros(ctx.n, dtype=bool)
-    candidates = set(ctx.graph.adjacency[u] | ctx.graph.adjacency[v]) - {u, v}
+    adjacency = neighbour_sets(ctx.graph)
+    candidates = set(adjacency[u] | adjacency[v]) - {u, v}
 
     best_members: set[int] | None = None
     best_quality = -math.inf
@@ -104,7 +106,7 @@ def reference_grow(ctx, rng):
         in_members[chosen] = True
         cur_min = np.minimum(cur_min, attrs[chosen])
         cur_max = np.maximum(cur_max, attrs[chosen])
-        neigh = np.fromiter(sorted(ctx.graph.adjacency[chosen]), dtype=np.int64)
+        neigh = np.fromiter(sorted(adjacency[chosen]), dtype=np.int64)
         deg_in[neigh] += 1
         candidates.discard(chosen)
         for x in neigh:
