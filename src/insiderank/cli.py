@@ -13,14 +13,16 @@ be rerun from its persisted inputs:
                                        (the files generate_logs reports writing)
     pipeline  ingest to eval, optionally over a parameter grid
 
-Each log is parsed into one columnar event table (ingest.EventTable);
-features groups the tables by user and computes every attribute column by
-column, and graph resolves each distinct email address once.  Run on its
-own, features parses the four logs and graph parses email.csv again.  The
-pipeline parses each log once, in ingest, and hands the event tables and
-rejects to features and graph in memory; the artifacts are the same bytes
-either way.  With a grid, auc_summary.csv adds a column for each cluster
-parameter that differs between cases, after the AUCs.
+The logs are parsed and joined into one columnar event table
+(ingest.EventTable), in LOG_LAYOUTS order, and the per-file tables are
+dropped; features groups that table by user and computes every attribute
+column by column, and graph takes the emails from it and resolves each
+distinct address once.  Run on its own, features parses the four logs and
+graph parses email.csv again.  The pipeline parses each log once, in ingest,
+and hands the one table and the rejects to features and graph in memory, so
+a run holds one copy of the events; the artifacts are the same bytes either
+way.  With a grid, auc_summary.csv adds a column for each cluster parameter
+that differs between cases, after the AUCs.
 
 Configuration is a single flat JSON object; command-line flags override
 config keys, and the INSIDERANK_OUT environment variable overrides the
@@ -30,7 +32,10 @@ run merges its entries into the manifest already there, a pipeline run
 replaces it.  In a merged manifest, stage, config and seed are those of the
 last command and timings.total is the pipeline's.  Artifact files are
 deterministic byte for byte given equal config, inputs and seed; only the
-manifest (timings) varies between reruns.
+manifest (timings) varies between reruns.  Betweenness runs on numpy's BLAS,
+so a different BLAS thread count (e.g. OPENBLAS_NUM_THREADS) may change the
+last bits of centrality.csv, scores.csv and the score column of each
+ranking.<k>.csv, within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -338,9 +343,10 @@ def _require(path: Path, what: str) -> Path:
     return path
 
 
-# Parsed activity logs: the event table of each log file present, keyed by
-# file name in LOG_LAYOUTS order, and the rows rejected across those files.
-ParsedLogs = tuple[dict[str, EventTable], RejectReport]
+# Parsed activity logs: one event table holding the events of every log file
+# present, in LOG_LAYOUTS order; the rows parsed from each file, events and
+# rejects, by file name; and the rows rejected across those files.
+ParsedLogs = tuple[EventTable, dict[str, int], RejectReport]
 
 
 def _load_events(
@@ -356,18 +362,22 @@ def _load_events(
         _warn(f"skipping unsupported log file: {stray}")
     wanted = [(kind, layout.file_name) for kind, layout in LOG_LAYOUTS.items()
               if kinds is None or kind in kinds]
-    events: dict[str, EventTable] = {}
+    tables: list[EventTable] = []
+    rows: dict[str, int] = {}
     rejects = RejectReport()
     for kind, name in wanted:
         path = log_dir / name
         if not path.exists():
             continue
         manifest.add_input(path)
-        events[name] = read_log_csv(path, kind, rejects=rejects)
-    if required and not events:
+        rejected = len(rejects)
+        tables.append(read_log_csv(path, kind, rejects=rejects))
+        rows[name] = len(tables[-1]) + len(rejects) - rejected
+    if required and not tables:
         names = sorted(name for _, name in wanted)
         raise StageError(f"missing log files: none of {names} under {log_dir}")
-    return events, rejects
+    # the per-file tables go once joined, so a run holds one copy of the events
+    return EventTable.concat(tables), rows, rejects
 
 
 def _load_directory(cfg, manifest: Manifest):
@@ -399,37 +409,32 @@ def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
         manifest.add_input(snap)
     directory = load_ldap_snapshots(ldap_dir)
 
-    events, rejects = _load_events(cfg, manifest)
+    logs = _load_events(cfg, manifest)
+    events, rows, rejects = logs
     out.mkdir(parents=True, exist_ok=True)
     write_directory_csv(out / "directory.csv", directory)
     manifest.add_output(out / "directory.csv")
     rejects.write_csv(out / "rejects.csv")
     manifest.add_output(out / "rejects.csv")
 
-    counts: dict[str, int] = {}
-    rows = {name: len(table) for name, table in events.items()}
-    for table in events.values():
-        for kind, count in zip(EVENT_KINDS, np.bincount(table.kind, minlength=len(EVENT_KINDS))):
-            if count:
-                counts[kind] = counts.get(kind, 0) + int(count)
-    for source, _, _ in rejects.rows:
-        rows[source] += 1
+    counts = {kind: int(count) for kind, count in
+              zip(EVENT_KINDS, np.bincount(events.kind, minlength=len(EVENT_KINDS))) if count}
     manifest.data["stats"]["ingest"] = {
         "users": len(directory), "events": counts, "rows_parsed": rows,
         "rejected": len(rejects), "rejected_by_reason": rejects.counts_by_class(),
     }
     n_events = sum(counts.values())
     print(f"ingest: {len(directory)} users, {n_events} events, {len(rejects)} rejected rows")
-    return events, rejects
+    return logs
 
 
 def stage_features(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None:
     """``logs`` are the pipeline's ingest results; a lone run parses the logs."""
     out = _out_dir(cfg)
     directory = _load_directory(cfg, manifest)
-    events, rejects = logs if logs is not None else _load_events(cfg, manifest)
+    events, _, rejects = logs if logs is not None else _load_events(cfg, manifest)
     vectors = extract_attributes(
-        group_by_user(events.values()), directory,
+        group_by_user([events]), directory,
         _calendar(cfg), internal_domain=cfg["internal_domain"],
     )
     users, matrix = attribute_matrix(vectors)
@@ -456,14 +461,12 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
         raise StageError("graph: nodes.norm.csv users do not match directory.csv")
     if logs is None:
         logs = _load_events(cfg, manifest, kinds={"email"}, required=False)
-    events, parse_rejects = logs
-    # build_graph numbers its rejects by position among the email events, and
+    events, _, parse_rejects = logs
+    # build_graph numbers its rejects by position among the email rows, and
     # graph_rejects.csv lists the email.csv parse rejects first
-    email_log = LOG_LAYOUTS["email"].file_name
-    emails = events.get(email_log, EventTable.empty())
-    rejects = parse_rejects.from_source(email_log)
+    rejects = parse_rejects.from_source(LOG_LAYOUTS["email"].file_name)
     graph = build_graph(
-        directory, emails, matrix, names,
+        directory, events, matrix, names,
         internal_domain=cfg["internal_domain"], rejects=rejects,
     )
     write_edges_csv(out / "edges.csv", graph)

@@ -286,6 +286,17 @@ class _GraspContext:
         self.seed_edges = edges[keep]  # (m, 2) vertex pairs
         weights = sizes[keep]
         self.seed_probs = weights / weights.sum() if weights.size else weights
+        # Generator.choice(p=seed_probs) draws from these cumulative sums;
+        # building them once saves re-checking and re-summing every round.
+        self.seed_cdf = self.seed_probs.cumsum()
+        if weights.size:
+            self.seed_cdf /= self.seed_cdf[-1]
+
+    def draw_seeds(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One seed edge position per stream, each the one that
+        ``rng.choice(len(self.seed_edges), p=self.seed_probs)`` would draw,
+        consuming the same single double from it."""
+        return self.seed_cdf.searchsorted([rng.random() for rng in rngs], side="right")
 
 
 # Elements of the (vertices x variable columns) temporaries held at once.
@@ -458,7 +469,7 @@ def _grow_batch(ctx: _GraspContext, rounds: Sequence[int]) -> list[tuple[set[int
     """
     p, adj, var, n = ctx.params, ctx.adj_matrix, ctx.var_attrs, ctx.n
     rngs = [np.random.default_rng((p.rng_seed, i)) for i in rounds]
-    seeds = ctx.seed_edges[[int(rng.choice(len(ctx.seed_edges), p=ctx.seed_probs)) for rng in rngs]]
+    seeds = ctx.seed_edges[ctx.draw_seeds(rngs)]
     u, v = seeds[:, 0], seeds[:, 1]
     rows = np.arange(len(rounds))
     members = np.zeros((len(rounds), n), dtype=bool)

@@ -116,7 +116,10 @@ class UserEvents:
 
 
 def group_by_user(tables: Iterable[EventTable]) -> UserEvents:
-    """Group the events of parsed logs (say one table per log file) by user."""
+    """Group the events of parsed logs by user.  One table is grouped as it
+    is; several (say one per log file) are first joined into a new table,
+    a second copy of their events, so callers that hold the logs for a whole
+    run join them once and pass the one table."""
     return UserEvents(EventTable.concat(list(tables)))
 
 

@@ -107,19 +107,20 @@ class AttributedGraph:
 
 def build_graph(
     directory: OrgDirectory,
-    email_events: EventTable,
+    events: EventTable,
     attributes: np.ndarray,
     attribute_names: Sequence[str],
     *,
     internal_domain: str = "dtaa.com",
     rejects: RejectReport | None = None,
 ) -> AttributedGraph:
-    """Assemble the graph from the directory and the email events, a parsed
-    email log (rows of other kinds are skipped).
+    """Assemble the graph from the directory and the emails among ``events``,
+    parsed activity logs; rows of other kinds are skipped.
 
     ``attributes`` must be aligned with the directory users in sorted user-id
     order (the order produced by feature extraction).  A rejected email is
-    numbered by its position among ``email_events``, counting from 1.
+    numbered by its position among the email rows of ``events``, counting
+    from 1, so the number does not depend on the other logs parsed with it.
     """
     if rejects is None:
         rejects = RejectReport()
@@ -137,8 +138,6 @@ def build_graph(
         if sup != uid:
             hierarchy.append((index[uid], index[sup]))
 
-    table = email_events
-
     def resolve(address: str) -> int:
         if not _is_internal(address, internal_domain):
             return _EXTERNAL  # attribute material only
@@ -146,30 +145,31 @@ def build_graph(
         return _UNRESOLVED if uid is None else index[uid]
 
     # each distinct address is resolved once
-    vertex = np.array([resolve(a) for a in table.addresses], np.int64)
-    emails = table.kind == EMAIL
-    sender = np.full(len(table), _EXTERNAL)
-    sender[emails] = vertex[table.sender[emails]]
-    ends = table.recipient_ptr[::3]
-    row = np.repeat(np.arange(len(table)), np.diff(ends))  # the email of each recipient
-    recipient = vertex[table.recipients]
+    vertex = np.array([resolve(a) for a in events.addresses], np.int64)
+    rows = np.flatnonzero(events.kind == EMAIL)
+    sender = vertex[events.sender[rows]]
+    ends = events.recipient_ptr[::3]
+    # only emails have recipients: each recipient's email, by position among them
+    email = np.repeat(np.arange(len(rows)), ends[rows + 1] - ends[rows])
+    recipient = vertex[events.recipients]
     bad = sender == _UNRESOLVED
-    bad[row[recipient == _UNRESOLVED]] = True
-    for i in np.flatnonzero(bad).tolist():
+    bad[email[recipient == _UNRESOLVED]] = True
+    for j in np.flatnonzero(bad).tolist():
+        i = rows[j]
         # the first unresolved address, in the order sender, to, cc, bcc
-        codes = [table.sender[i], *table.recipients[ends[i]:ends[i + 1]].tolist()]
-        address = next(table.addresses[c] for c in codes if vertex[c] == _UNRESOLVED)
-        event_id = table.ids[table.id_ptr[i]:table.id_ptr[i + 1]]
+        codes = [events.sender[i], *events.recipients[ends[i]:ends[i + 1]].tolist()]
+        address = next(events.addresses[c] for c in codes if vertex[c] == _UNRESOLVED)
+        event_id = events.ids[events.id_ptr[i]:events.id_ptr[i + 1]]
         rejects.add(
             "<email-events>",
-            i + 1,
+            j + 1,
             f"event {event_id!r}: internal address {address!r} does not "
             f"resolve to a directory user",
             "unresolved address",
         )
     # an external sender anchors no edges
-    s = sender[row]
-    linked = ~bad[row] & (s >= 0) & (recipient >= 0) & (recipient != s)
+    s = sender[email]
+    linked = ~bad[email] & (s >= 0) & (recipient >= 0) & (recipient != s)
     edges = np.concatenate([np.array(hierarchy, np.int64).reshape(-1, 2),
                             np.column_stack([s[linked], recipient[linked]])])
     return AttributedGraph(user_ids, edges, attributes, attribute_names)

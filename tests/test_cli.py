@@ -11,7 +11,7 @@ import pytest
 
 import insiderank.cli as cli
 from insiderank.cli import _case_label, _grid_cases, main
-from insiderank.ingest import LOG_LAYOUTS
+from insiderank.ingest import LOG_LAYOUTS, EventTable
 from insiderank.synth import generate_logs
 from test_synth import _pinned_case
 
@@ -515,15 +515,57 @@ def test_pipeline_parses_each_log_once(tmp_path, messy_corpus, monkeypatch):
     assert sorted(parsed) == ["device.csv", "email.csv", "file.csv", "logon.csv"]
 
 
+def test_pipeline_holds_one_copy_of_the_events(tmp_path, messy_corpus, monkeypatch):
+    joined, grouped, graphed, ingested = [], [], [], []
+    concat, group_by_user = EventTable.concat.__func__, cli.group_by_user
+    build_graph, stage_ingest = cli.build_graph, cli.stage_ingest
+
+    def counted_concat(cls, tables):
+        if len(tables) > 1:
+            caller = sys._getframe(1)
+            joined.append((caller.f_code.co_name, caller.f_back.f_code.co_name, len(tables)))
+        return concat(cls, tables)
+
+    def counted_group(tables):
+        grouped.append(list(tables))
+        return group_by_user(grouped[-1])
+
+    def counted_build(directory, events, *args, **kwargs):
+        graphed.append(events)
+        return build_graph(directory, events, *args, **kwargs)
+
+    def counted_ingest(*args):
+        ingested.append(stage_ingest(*args))
+        return ingested[-1]
+
+    monkeypatch.setattr(EventTable, "concat", classmethod(counted_concat))
+    monkeypatch.setattr(cli, "group_by_user", counted_group)
+    monkeypatch.setattr(cli, "build_graph", counted_build)
+    monkeypatch.setattr(cli, "stage_ingest", counted_ingest)
+    run_pipeline(tmp_path, messy_corpus)
+    # parse_log_file joins the batches of one file; only ingest joins files
+    assert [call for call in joined if call[0] != "parse_log_file"] == \
+        [("_load_events", "stage_ingest", 4)]
+    [(events, _, _)] = ingested
+    assert len(grouped) == 1 and len(grouped[0]) == 1 and grouped[0][0] is events
+    assert len(graphed) == 1 and graphed[0] is events
+
+
 def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
     piped, _ = run_pipeline(tmp_path, messy_corpus, name="piped")
+    staged = tmp_path / "staged"
     staged_config = write_config(tmp_path / "staged.json", log_dir=str(messy_corpus),
-                                 out_dir=str(tmp_path / "staged"))
-    for stage in ("ingest", "features", "graph"):
+                                 out_dir=str(staged))
+    for stage in ("ingest", "features", "graph", "cluster", "rank", "eval"):
         assert main([stage, "--config", staged_config]) == 0, stage
-    for name in ("rejects.csv", "nodes.csv", "nodes.norm.csv", "edges.csv",
-                 "graph_rejects.csv"):
-        assert (piped / name).read_bytes() == (tmp_path / "staged" / name).read_bytes(), name
+    artifacts = sorted(p.name for p in piped.iterdir() if p.name != "manifest.json")
+    assert artifacts == sorted(p.name for p in staged.iterdir() if p.name != "manifest.json")
+    assert {"rejects.csv", "nodes.csv", "nodes.norm.csv", "edges.csv", "graph_rejects.csv",
+            "clusters.jsonl", "centrality.csv", "scores.csv", "auc_summary.csv",
+            *(f"{kind}.{k}.csv" for kind in ("ranking", "roc", "distribution")
+              for k in cli.DEFAULTS["score_variants"])} <= set(artifacts)
+    for name in artifacts:
+        assert (piped / name).read_bytes() == (staged / name).read_bytes(), name
     rejects = (piped / "rejects.csv").read_text()
     for name in MESSY_ROWS:
         assert name in rejects, name

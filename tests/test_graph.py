@@ -100,6 +100,25 @@ def test_unresolvable_internal_address_rejects_whole_email():
     assert "ghost@dtaa.com" in rejects.rows[0][2]
 
 
+def test_rejected_email_is_numbered_among_the_emails():
+    # the pipeline hands build_graph every log's rows in one table; a reject
+    # keeps the number it has in the email log parsed on its own
+    directory = _directory()
+    attrs, names = _attrs(3)
+    emails = [_email("ub@dtaa.com", to=("ua@dtaa.com",), eid="good"),
+              _email("ub@dtaa.com", to=("uc@dtaa.com", "ghost@dtaa.com"), eid="bad")]
+    other = [LogEvent(f"o{i}", datetime(2010, 1, 4, 9, i), "UA", "PC-1", kind)
+             for i, kind in enumerate(("logon", "device_connect", "logoff"))]
+    built = []
+    for events in (emails, [other[0], emails[0], other[1], other[2], emails[1]]):
+        rejects = RejectReport()
+        g = build_graph(directory, table_of(events), attrs, names, rejects=rejects)
+        built.append((rejects.rows, g.edges.tolist()))
+    assert built[0] == built[1]
+    [(source, number, reason)] = built[0][0]
+    assert (source, number) == ("<email-events>", 2) and "'bad'" in reason
+
+
 def test_external_sender_builds_no_edges_and_no_reject():
     directory = _directory()
     attrs, names = _attrs(3)

@@ -276,6 +276,24 @@ def test_one_round_batch_matches_reference():
         assert got == reference_rounds(ctx, [i])[0] is not None
 
 
+@pytest.mark.parametrize("n, p_edge", [(2, 1.0), (5, 0.6), (500, 0.8)])
+def test_seed_draws_match_generator_choice(n, p_edge):
+    # the 500-vertex graph pools about 100k seed edges with uneven weights
+    rng = np.random.default_rng(n)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p_edge]
+    graph = make_graph(n, edges, rng.random((n, 12)))
+    ctx = _GraspContext(graph, ClusterParams(n_min=2, s_min=1, w=0.3))
+    assert len(ctx.seed_edges) > 0.9 * len(edges)
+    assert n == 2 or len(np.unique(ctx.seed_probs)) > 1
+    streams = [(ctx.params.rng_seed, i) for i in range(200)]
+    drawn = [np.random.default_rng(s) for s in streams]
+    chosen = [np.random.default_rng(s) for s in streams]
+    assert ctx.draw_seeds(drawn).tolist() == [
+        int(r.choice(len(ctx.seed_edges), p=ctx.seed_probs)) for r in chosen]
+    # each stream is left where choice leaves it, for the growth picks after
+    assert [r.random() for r in drawn] == [r.random() for r in chosen]
+
+
 def test_round_result_does_not_depend_on_its_batch(monkeypatch):
     spec = SynthSpec(n_users=120, k_clusters=8, size_range=(5, 9), subspace_range=(4, 6),
                      p_in=0.9, p_out=0.05, n_attributes=20, width=0.05, n_outliers=4, rng_seed=5)
