@@ -59,7 +59,6 @@ from .ingest import (
     read_log_csv,
 )
 from .ranking import (
-    NormalizationContext,
     OutlierScoreTable,
     compute_scores,
     rank_users,
@@ -79,7 +78,6 @@ __all__ = [
     "EventTable",
     "GroundTruth",
     "NonConvergenceError",
-    "NormalizationContext",
     "OracleBoundExceeded",
     "OrgDirectory",
     "OutlierScoreTable",

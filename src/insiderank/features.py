@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import (EVENT_KINDS, EventTable, OrgDirectory, _csv_rows, _distinct, _intern,
-                     _microseconds)
+from .ingest import (EMAIL, EVENT_KINDS, FILE_COPY, EventTable, OrgDirectory, _csv_rows,
+                     _distinct, _intern, _microseconds)
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -239,7 +239,9 @@ def _attribute_columns(c: _Columns, org_codes: np.ndarray, internal_domain: str)
 
     # Email: recipient counts per field, size, attachments.
     emails = c.of("email")
-    rows = c.order[emails]  # table rows of the emails, in (user, input) order
+    email_rows = t.kind == EMAIL
+    # the emails in (user, input) order, by position among the email rows
+    rows = (np.cumsum(email_rows) - 1)[c.order[emails]]
     recipient_counts = np.diff(t.recipient_ptr).reshape(-1, 3)[rows]
     for box, counts in zip(("to", "cc", "bcc"), recipient_counts.T):
         c.stats(f"email_recipients_{box}", c.summary(emails, counts))
@@ -257,7 +259,7 @@ def _attribute_columns(c: _Columns, org_codes: np.ndarray, internal_domain: str)
     named = senders != lowered.get("", -1)
     c.add("email_address_count",
           _count_distinct(c.user[emails][named], senders[named], radix, n))
-    recipient_user = np.repeat(c.table_user, np.diff(t.recipient_ptr[::3]))
+    recipient_user = np.repeat(c.table_user[email_rows], np.diff(t.recipient_ptr[::3]))
     contacts = _distinct(recipient_user * radix + lower[t.recipients])
     inside = internal[contacts % radix]
     c.add("email_internal_contacts", np.bincount(contacts[inside] // radix, minlength=n))
@@ -291,7 +293,7 @@ def _attribute_columns(c: _Columns, org_codes: np.ndarray, internal_domain: str)
         c.add(f"file_days_{scope}", c.distinct(in_scope, c.day, _DAYS))
     c.scoped("files_per_day", files, c.daily_counts)
     file_types = np.array([_file_type(name) for name in t.filenames], np.int64)
-    file_type = file_types[t.filename[c.order[files]]]
+    file_type = file_types[t.filename[(np.cumsum(t.kind == FILE_COPY) - 1)[c.order[files]]]]
     file_user = c.user[files]
     n_files = np.bincount(file_user, minlength=n)
     for k, ext in enumerate(FILE_TYPES):

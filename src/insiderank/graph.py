@@ -114,8 +114,8 @@ def build_graph(
     internal_domain: str = "dtaa.com",
     rejects: RejectReport | None = None,
 ) -> AttributedGraph:
-    """Assemble the graph from the directory and the emails among ``events``,
-    parsed activity logs; rows of other kinds are skipped.
+    """Assemble the graph from the directory and the email payload of
+    ``events``, parsed activity logs; rows of other kinds carry none.
 
     ``attributes`` must be aligned with the directory users in sorted user-id
     order (the order produced by feature extraction).  A rejected email is
@@ -146,19 +146,19 @@ def build_graph(
 
     # each distinct address is resolved once
     vertex = np.array([resolve(a) for a in events.addresses], np.int64)
-    rows = np.flatnonzero(events.kind == EMAIL)
-    sender = vertex[events.sender[rows]]
+    sender = vertex[events.sender]
     ends = events.recipient_ptr[::3]
-    # only emails have recipients: each recipient's email, by position among them
-    email = np.repeat(np.arange(len(rows)), ends[rows + 1] - ends[rows])
+    # each recipient's email, by position among the emails
+    email = np.repeat(np.arange(len(sender)), np.diff(ends))
     recipient = vertex[events.recipients]
     bad = sender == _UNRESOLVED
     bad[email[recipient == _UNRESOLVED]] = True
+    rows = np.flatnonzero(events.kind == EMAIL)  # for the event id of a rejected email
     for j in np.flatnonzero(bad).tolist():
-        i = rows[j]
         # the first unresolved address, in the order sender, to, cc, bcc
-        codes = [events.sender[i], *events.recipients[ends[i]:ends[i + 1]].tolist()]
+        codes = [events.sender[j], *events.recipients[ends[j]:ends[j + 1]].tolist()]
         address = next(events.addresses[c] for c in codes if vertex[c] == _UNRESOLVED)
+        i = rows[j]
         event_id = events.ids[events.id_ptr[i]:events.id_ptr[i + 1]]
         rejects.add(
             "<email-events>",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import csv
 import itertools
 import operator
-import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from pathlib import Path
@@ -60,9 +59,6 @@ __all__ = [
 ]
 
 TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M:%S"
-# The zero-padded ASCII form of TIMESTAMP_FORMAT, read field by field; any
-# other string (unpadded, non-ASCII digits, extra spaces) goes to strptime.
-_FIXED_TIMESTAMP = re.compile(r"(\d\d)/(\d\d)/(\d{4}) (\d\d):(\d\d):(\d\d)", re.ASCII)
 
 # Event kinds; EventTable.kind holds their positions.
 EVENT_KINDS = (
@@ -137,9 +133,8 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _recode(codes: np.ndarray, strings: Sequence[str], index: dict[str, int]) -> np.ndarray:
-    """``codes`` into ``strings`` as codes into ``index``; -1 stays -1."""
-    lookup = np.array([*(index.setdefault(s, len(index)) for s in strings), -1], np.int32)
-    return lookup[codes]  # code -1 picks the trailing -1
+    """``codes`` into ``strings`` as codes into ``index``."""
+    return np.array([index.setdefault(s, len(index)) for s in strings], np.int32)[codes]
 
 
 def _joined(strings: Sequence[str]) -> tuple[str, np.ndarray]:
@@ -152,9 +147,10 @@ def _joined(strings: Sequence[str]) -> tuple[str, np.ndarray]:
 
 def _chained(ptrs: Iterable[np.ndarray]) -> np.ndarray:
     """CSR offsets of several arrays laid end to end, as one offsets array."""
-    out = [np.zeros(1, np.int64)]
+    out, total = [np.zeros(1, np.int64)], 0
     for ptr in ptrs:
-        out.append(ptr[1:] + out[-1][-1])
+        out.append(ptr[1:] + total)
+        total += int(ptr[-1])
     return np.concatenate(out)
 
 
@@ -167,12 +163,15 @@ class EventTable:
     ``sender``, ``recipients`` and ``filename`` hold codes into ``users``,
     ``pcs``, ``addresses`` and ``filenames``.  A timestamp is split into
     ``day``, its ``date.toordinal()``, and ``tod``, microseconds since
-    midnight; ``kind`` holds positions in EVENT_KINDS.  The to, cc and bcc
-    addresses of row ``i`` are
-    ``recipients[recipient_ptr[3*i]:recipient_ptr[3*i+1]]`` and the two
-    slices after it (CSR layout).  Rows that are not emails have sender -1
-    and no recipients, size and attachments 0; rows that are not file copies
-    have filename -1.
+    midnight; ``kind`` holds positions in EVENT_KINDS.
+
+    The payload columns hold entries only for the rows of their kind, in row
+    order.  ``sender``, ``size`` and ``attachments`` have one entry per
+    email row; the to, cc and bcc addresses of the ``j``-th email are
+    ``recipients[recipient_ptr[3*j]:recipient_ptr[3*j+1]]`` and the two
+    slices after it (CSR layout, ``3 * emails + 1`` offsets).  ``filename``
+    has one entry per file-copy row.  A table without rows of a kind has
+    empty columns for its payload.
     """
 
     ids: str
@@ -184,29 +183,14 @@ class EventTable:
     kind: np.ndarray
     pc: np.ndarray
     pcs: list[str]
-    sender: np.ndarray | None = None
-    recipient_ptr: np.ndarray | None = None
-    recipients: np.ndarray | None = None
+    sender: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
+    recipient_ptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    recipients: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     addresses: list[str] = field(default_factory=list)
-    size: np.ndarray | None = None
-    attachments: np.ndarray | None = None
-    filename: np.ndarray | None = None
+    size: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    attachments: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    filename: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     filenames: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        n = len(self)
-        if self.sender is None:
-            self.sender = np.full(n, -1, np.int32)
-        if self.recipient_ptr is None:
-            self.recipient_ptr = np.zeros(3 * n + 1, np.int64)
-        if self.recipients is None:
-            self.recipients = np.empty(0, np.int32)
-        if self.size is None:
-            self.size = np.zeros(n, np.int64)
-        if self.attachments is None:
-            self.attachments = np.zeros(n, np.int64)
-        if self.filename is None:
-            self.filename = np.full(n, -1, np.int32)
 
     def __len__(self) -> int:
         return len(self.id_ptr) - 1
@@ -325,13 +309,9 @@ def _csv_batches(lines: Iterable[str], source: str) -> Iterator[list[tuple[int, 
 
 
 def parse_timestamp(text: str) -> datetime:
-    """``datetime.strptime(text, TIMESTAMP_FORMAT)``, with a fast path for
-    the fixed-width layout; both raise ValueError for the same strings."""
-    fixed = _FIXED_TIMESTAMP.fullmatch(text)
-    if fixed is None:
-        return datetime.strptime(text, TIMESTAMP_FORMAT)
-    month, day, year, hour, minute, second = fixed.groups()
-    return datetime(int(year), int(month), int(day), int(hour), int(minute), int(second))
+    """``datetime.strptime(text, TIMESTAMP_FORMAT)``: ValueError for a string
+    that is not a timestamp."""
+    return datetime.strptime(text, TIMESTAMP_FORMAT)
 
 
 # Character positions of MM/DD/YYYY HH:MM:SS: the digits, and the separators.

@@ -36,7 +36,6 @@ from .graph import AttributedGraph
 from .ingest import _csv_rows
 
 __all__ = [
-    "NormalizationContext",
     "OutlierScoreTable",
     "compute_scores",
     "rank_users",
@@ -47,25 +46,6 @@ __all__ = [
 
 N_VARIANTS = 6
 _SCORES_HEADER = ["user_id", *(f"score_{k}" for k in range(1, N_VARIANTS + 1)), "memberships"]
-
-
-@dataclass(frozen=True)
-class NormalizationContext:
-    c_max: int
-    s_max: int
-    deg_max: int
-    ec_max: float
-    bc_max: float
-
-    @classmethod
-    def from_results(cls, result: ClusteringResult, centralities: CentralityTable) -> "NormalizationContext":
-        return cls(
-            c_max=result.c_max,
-            s_max=result.s_max,
-            deg_max=centralities.deg_max,
-            ec_max=centralities.ec_max,
-            bc_max=centralities.bc_max,
-        )
 
 
 @dataclass
@@ -118,22 +98,22 @@ def compute_scores(
         if c.members and not (0 <= c.members[0] and c.members[-1] < n):
             raise ValueError(f"cluster members {c.members} out of range for {n} vertices")
 
-    ctx = NormalizationContext.from_results(result, centralities)
+    c_max, s_max = result.c_max, result.s_max
     cluster_sum = np.zeros(n)
     memberships = np.zeros(n, dtype=np.int64)
     for c in result.clusters:
         term = 0.0
-        if ctx.c_max > 0:
-            term += len(c.members) / ctx.c_max
-        if ctx.s_max > 0:
-            term += len(c.subspace) / ctx.s_max
+        if c_max > 0:
+            term += len(c.members) / c_max
+        if s_max > 0:
+            term += len(c.subspace) / s_max
         idx = list(c.members)
         cluster_sum[idx] += term
         memberships[idx] += 1
 
-    ndeg = _normalized(centralities.degree, ctx.deg_max)
-    nec = _normalized(centralities.eigenvector, ctx.ec_max)
-    nbc = _normalized(centralities.betweenness, ctx.bc_max)
+    ndeg = _normalized(centralities.degree, centralities.deg_max)
+    nec = _normalized(centralities.eigenvector, centralities.ec_max)
+    nbc = _normalized(centralities.betweenness, centralities.bc_max)
 
     # the centrality term appears once per containing cluster when inside
     # the sum, once overall when outside (and not at all for unclustered

@@ -447,7 +447,7 @@ def generate_logs(
             counts = np.zeros((len(order), 3), np.int64)
             counts[:, 0] = list(map(len, recipients))
             table.sender = user
-            table.recipient_ptr[1:] = np.cumsum(counts.ravel())
+            table.recipient_ptr = np.concatenate(([0], np.cumsum(counts.ravel())))
             table.recipients = np.fromiter(itertools.chain.from_iterable(recipients), np.int32,
                                            int(counts.sum()))
             table.addresses = [users[uid].email for uid in user_ids]

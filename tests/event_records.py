@@ -4,6 +4,8 @@ The library holds events only as columnar :class:`EventTable`s.  Tests that
 state their input event by event, or check a parse field by field, use the
 records here: :func:`table_of` builds the table of a list of
 :class:`LogEvent`s, and :func:`events_of` reads a table back as LogEvents.
+:func:`assert_payload_layout` checks that each payload column of a table
+holds one entry per row of its kind.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from insiderank.ingest import EVENT_KINDS, EventTable, _int_array, _joined, _microseconds
+from insiderank.ingest import (EMAIL, EVENT_KINDS, FILE_COPY, EventTable, _int_array, _joined,
+                               _microseconds)
 
-__all__ = ["EmailPayload", "FilePayload", "LogEvent", "events_of", "table_of"]
+__all__ = ["EmailPayload", "FilePayload", "LogEvent", "assert_payload_layout", "events_of",
+           "table_of"]
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,15 @@ def table_of(events: Iterable[LogEvent]) -> EventTable:
     sender, counts, recipients, filename = [], [], [], []
     size, attachments = [], []
     for e in events:
-        p = e.payload if e.kind == "email" else EmailPayload("", (), (), (), 0, 0)
-        sender.append(code(addresses, p.sender) if e.kind == "email" else -1)
-        counts.extend((len(p.to), len(p.cc), len(p.bcc)))
-        recipients.extend(code(addresses, a) for a in p.recipients())
-        size.append(p.size)
-        attachments.append(p.attachments)
-        filename.append(code(filenames, e.payload.filename) if e.kind == "file_copy" else -1)
+        if e.kind == "email":
+            p = e.payload
+            sender.append(code(addresses, p.sender))
+            counts.extend((len(p.to), len(p.cc), len(p.bcc)))
+            recipients.extend(code(addresses, a) for a in p.recipients())
+            size.append(p.size)
+            attachments.append(p.attachments)
+        elif e.kind == "file_copy":
+            filename.append(code(filenames, e.payload.filename))
     return EventTable(
         *_joined([e.event_id for e in events]),
         np.array([code(users, e.user) for e in events], np.int32), list(users),
@@ -88,6 +94,7 @@ def table_of(events: Iterable[LogEvent]) -> EventTable:
 def events_of(table: EventTable) -> list[LogEvent]:
     """The events of ``table``, in its order."""
     events = []
+    emails = files = 0  # the payload entries read so far
     for i in range(len(table)):
         seconds, micro = divmod(int(table.tod[i]), 1_000_000)
         minutes, second = divmod(seconds, 60)
@@ -96,14 +103,27 @@ def events_of(table: EventTable) -> list[LogEvent]:
         kind = EVENT_KINDS[table.kind[i]]
         payload: EmailPayload | FilePayload | None = None
         if kind == "email":
-            ends = table.recipient_ptr[3 * i:3 * i + 4].tolist()
+            j = emails
+            ends = table.recipient_ptr[3 * j:3 * j + 4].tolist()
             to, cc, bcc = (tuple(table.addresses[c] for c in table.recipients[a:b].tolist())
                            for a, b in zip(ends, ends[1:]))
-            payload = EmailPayload(table.addresses[table.sender[i]], to, cc, bcc,
-                                   int(table.size[i]), int(table.attachments[i]))
+            payload = EmailPayload(table.addresses[table.sender[j]], to, cc, bcc,
+                                   int(table.size[j]), int(table.attachments[j]))
+            emails += 1
         elif kind == "file_copy":
-            payload = FilePayload(table.filenames[table.filename[i]])
+            payload = FilePayload(table.filenames[table.filename[files]])
+            files += 1
         events.append(LogEvent(table.ids[table.id_ptr[i]:table.id_ptr[i + 1]], timestamp,
                                table.users[table.user[i]], table.pcs[table.pc[i]], kind,
                                payload))
     return events
+
+
+def assert_payload_layout(table: EventTable) -> None:
+    """The email payload has one entry per email row and ``filename`` one
+    per file-copy row."""
+    emails = int((table.kind == EMAIL).sum())
+    assert len(table.sender) == len(table.size) == len(table.attachments) == emails
+    assert len(table.recipient_ptr) == 3 * emails + 1
+    assert table.recipient_ptr[-1] == len(table.recipients)
+    assert len(table.filename) == int((table.kind == FILE_COPY).sum())

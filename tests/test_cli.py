@@ -575,6 +575,26 @@ def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
     assert "M900003" in graph_rejects[-1] and "ghost@dtaa.com" in graph_rejects[-1]
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    ["L1,13/45/2010 08:00:00,U0001,PC-0001,Logon", "L2,01/05/2010 08:00:00,U0001,PC-0001,Dance"],
+], ids=["header-only", "all-rejected"])
+def test_pipeline_runs_on_a_logon_log_without_events(tmp_path, corpus, rows):
+    private = tmp_path / "corpus"
+    shutil.copytree(corpus, private)
+    (private / "logon.csv").write_text("".join(
+        line + "\r\n" for line in ["id,date,user,pc,activity", *rows]))
+    config = write_config(tmp_path / "cfg.json", log_dir=str(private),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli("pipeline", "--config", config)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    with open(tmp_path / "out" / "rejects.csv", newline="") as fh:
+        rejected = [row[:2] for row in csv.reader(fh) if row[0] == "logon.csv"]
+    assert rejected == [["logon.csv", str(line)] for line in range(2, len(rows) + 2)]
+    assert (tmp_path / "out" / "auc_summary.csv").exists()
+
+
 def test_empty_nodes_table_diagnostic(tmp_path, corpus):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))

@@ -24,7 +24,7 @@ from insiderank.ingest import (
     write_log_file,
 )
 
-from event_records import EmailPayload, events_of
+from event_records import EmailPayload, assert_payload_layout, events_of
 
 
 def test_logon_row_hand_parsed():
@@ -261,6 +261,31 @@ def test_event_ids_are_one_string_with_offsets():
     assert table.id_ptr.tolist() == [0, 2, 4]
     both = EventTable.concat([table, parse_log_file(CANONICAL["file"], "file")])
     assert both.ids == "e1e2f1f2" and both.id_ptr.tolist() == [0, 2, 4, 6, 8]
+
+
+def test_payload_columns_hold_one_entry_per_row_of_their_kind():
+    parsed = {kind: parse_log_file(CANONICAL[kind], kind) for kind in FILE_KINDS}
+    for kind in ("logon", "device"):
+        table = parsed[kind]
+        assert len(table) == 2
+        assert [len(c) for c in (table.sender, table.recipients, table.size,
+                                 table.attachments, table.filename)] == [0] * 5
+        assert table.recipient_ptr.tolist() == [0]
+        assert table.addresses == [] and table.filenames == []
+    # kinds interleaved, so each payload is read back by position among its kind
+    order = ["email", "logon", "file", "device", "email", "file"]
+    joined = EventTable.concat([parsed[kind] for kind in order])
+    assert events_of(joined) == [e for kind in order for e in events_of(parsed[kind])]
+    for table in (*parsed.values(), joined, EventTable.empty()):
+        assert_payload_layout(table)
+
+
+def test_concat_after_a_table_without_rows():
+    emails = parse_log_file(CANONICAL["email"], "email")
+    for tables in ([EventTable.empty(), emails], [emails, EventTable.empty(), emails]):
+        joined = EventTable.concat(tables)
+        assert events_of(joined) == [e for t in tables for e in events_of(t)]
+        assert joined.id_ptr.tolist() == list(range(0, 2 * len(joined) + 1, 2))
 
 
 def test_empty_table_writes_a_header_only(tmp_path):

@@ -14,7 +14,6 @@ from insiderank.clustering import (
 from insiderank.features import normalize_matrix
 from insiderank.graph import AttributedGraph
 from insiderank.ranking import (
-    NormalizationContext,
     OutlierScoreTable,
     compute_scores,
     rank_users,
@@ -311,15 +310,14 @@ def test_outside_sum_switch():
     assert empty.scores.tolist() == np.zeros((5, 6)).tolist()
 
 
-def test_normalization_context_from_results():
+def test_normalization_maxima_from_results():
     graph = bare_graph(6, [(0, 1), (1, 2)])
     result = mk_result([mk_cluster({0, 1, 2}, {0, 1, 2, 3}), mk_cluster({3, 4}, {0})])
     table = compute_centralities(graph)
-    ctx = NormalizationContext.from_results(result, table)
-    assert ctx.c_max == 3 and ctx.s_max == 4
-    assert ctx.deg_max == 2
-    assert ctx.ec_max == 1.0
-    assert ctx.bc_max == 1.0
+    assert result.c_max == 3 and result.s_max == 4
+    assert table.deg_max == 2
+    assert table.ec_max == 1.0
+    assert table.bc_max == 1.0
 
 
 def test_csv_roundtrips(tmp_path):

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from insiderank import cli
+from insiderank import cli, synth
 from insiderank.clustering import ClusterParams, enumerate_clusters_exact, quasi_clique_gamma
 from insiderank.evaluation import load_ground_truth
 from insiderank.features import (
@@ -25,6 +25,7 @@ from insiderank.synth import (
     generate_logs,
 )
 
+from event_records import assert_payload_layout
 from graph_sets import neighbour_sets
 
 
@@ -216,6 +217,23 @@ def test_outlier_logs_heavy_after_hours(tmp_path):
         peers = [matrix[i, col] for i, u in enumerate(users) if u != "U0004"]
         assert outlier_row[col] > max(peers)
     assert outlier_row[ah_cols[0]] >= 3.0
+
+
+def test_built_tables_keep_each_payload_for_its_kind(tmp_path, monkeypatch):
+    built = {}
+    write_log_file = synth.write_log_file
+
+    def write(path, table, kind):
+        built[kind] = table
+        write_log_file(path, table, kind)
+
+    monkeypatch.setattr(synth, "write_log_file", write)
+    generate_logs(small_spec(n_users=12, k_clusters=2, size_range=(3, 4), n_outliers=1),
+                  CalendarConfig(), tmp_path, n_days=7)
+    assert list(built) == list(LOG_LAYOUTS)
+    assert len(built["email"]) and len(built["file"])
+    for table in built.values():
+        assert_payload_layout(table)
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,7 +1,7 @@
-"""The timestamp parsers against datetime.strptime, as properties: the
-fixed-width fast path of parse_timestamp, and the column parser that
-decodes a log's timestamps in one numpy pass and leaves every string it
-cannot prove valid to parse_timestamp.
+"""The timestamp parsers against datetime.strptime, as properties:
+parse_timestamp, which is strptime with TIMESTAMP_FORMAT, and the column
+parser that decodes a log's zero-padded ASCII timestamps in one numpy pass
+and leaves every other string to parse_timestamp.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
