@@ -25,7 +25,6 @@ leave float64's exact integer range.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import AttributedGraph
+from .ingest import write_table
 
 __all__ = [
     "CentralityTable",
@@ -248,10 +248,6 @@ def compute_centralities(
 
 
 def write_centrality_csv(path: str | Path, graph: AttributedGraph, table: CentralityTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "degree", "eigenvector", "betweenness"])
-        for i, user in enumerate(graph.user_ids):
-            writer.writerow(
-                [user, int(table.degree[i]), repr(float(table.eigenvector[i])), repr(float(table.betweenness[i]))]
-            )
+    write_table(path, ("user_id", "degree", "eigenvector", "betweenness"),
+                zip(graph.user_ids, table.degree.tolist(), table.eigenvector.tolist(),
+                    table.betweenness.tolist()))

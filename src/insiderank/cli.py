@@ -90,7 +90,6 @@ from .ingest import (
     LOG_LAYOUTS,
     EventTable,
     RejectReport,
-    SchemaError,
     load_directory_csv,
     load_ldap_snapshots,
     read_log_csv,
@@ -142,7 +141,6 @@ DEFAULTS: dict[str, object] = {
     "eigen_tol": 1e-10,
     "eigen_max_iter": 10000,
     # scoring
-    "score_variants": [1, 2, 3, 4, 5, 6],
     "centrality_outside_sum": False,
     # synthetic corpus generation
     "synth_n_users": 40,
@@ -224,9 +222,6 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
             cfg[key] = _typed(key, cfg[key])
     except ValueError as exc:
         raise StageError(f"invalid config: {exc}")
-    variants = cfg["score_variants"]
-    if not (variants and all(1 <= v <= N_VARIANTS for v in variants)):
-        raise StageError(f"invalid config: score_variants must be a list drawn from 1..{N_VARIANTS}")
     return cfg
 
 
@@ -307,11 +302,15 @@ class Manifest:
             "stats": {},
         }
 
-    def add_input(self, path: Path) -> None:
+    def add_input(self, path: Path) -> Path:
+        """Record ``path`` and its sha256 as an input, and return it."""
         self.data["inputs"][str(path)] = _sha256(path)
+        return path
 
-    def add_output(self, path: Path) -> None:
+    def add_output(self, path: Path) -> Path:
+        """Record ``path`` as an output, and return it."""
         self.data["outputs"].append(str(path))
+        return path
 
     def write(self, out: Path, *, merge: bool = False) -> None:
         """Write out/manifest.json.  With ``merge``, the inputs, outputs,
@@ -382,8 +381,7 @@ def _load_events(
 
 def _load_directory(cfg, manifest: Manifest):
     path = _require(_out_dir(cfg) / "directory.csv", "directory artifact (run ingest first)")
-    manifest.add_input(path)
-    return load_directory_csv(path)
+    return load_directory_csv(manifest.add_input(path))
 
 
 def _load_graph_artifacts(cfg, manifest: Manifest):
@@ -394,9 +392,7 @@ def _load_graph_artifacts(cfg, manifest: Manifest):
             f"missing graph artifacts: expected {nodes} and {edges}; "
             "run the features and graph stages first"
         )
-    manifest.add_input(nodes)
-    manifest.add_input(edges)
-    return load_graph(nodes, edges)
+    return load_graph(manifest.add_input(nodes), manifest.add_input(edges))
 
 
 def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
@@ -412,10 +408,8 @@ def stage_ingest(cfg, manifest: Manifest) -> ParsedLogs:
     logs = _load_events(cfg, manifest)
     events, rows, rejects = logs
     out.mkdir(parents=True, exist_ok=True)
-    write_directory_csv(out / "directory.csv", directory)
-    manifest.add_output(out / "directory.csv")
-    rejects.write_csv(out / "rejects.csv")
-    manifest.add_output(out / "rejects.csv")
+    write_directory_csv(manifest.add_output(out / "directory.csv"), directory)
+    rejects.write_csv(manifest.add_output(out / "rejects.csv"))
 
     counts = {kind: int(count) for kind, count in
               zip(EVENT_KINDS, np.bincount(events.kind, minlength=len(EVENT_KINDS))) if count}
@@ -438,10 +432,8 @@ def stage_features(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> N
         _calendar(cfg), internal_domain=cfg["internal_domain"],
     )
     users, matrix = attribute_matrix(vectors)
-    write_nodes_csv(out / "nodes.csv", users, matrix)
-    write_nodes_csv(out / "nodes.norm.csv", users, normalize_matrix(matrix))
-    manifest.add_output(out / "nodes.csv")
-    manifest.add_output(out / "nodes.norm.csv")
+    write_nodes_csv(manifest.add_output(out / "nodes.csv"), users, matrix)
+    write_nodes_csv(manifest.add_output(out / "nodes.norm.csv"), users, normalize_matrix(matrix))
     constant = int((matrix.max(axis=0) == matrix.min(axis=0)).sum()) if users else 0
     manifest.data["stats"]["features"] = {
         "users": len(users), "attributes": matrix.shape[1],
@@ -455,8 +447,7 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
     out = _out_dir(cfg)
     directory = _load_directory(cfg, manifest)
     nodes_path = _require(out / "nodes.norm.csv", "feature artifacts (run features first)")
-    manifest.add_input(nodes_path)
-    users, matrix, names = read_nodes_csv(nodes_path)
+    users, matrix, names = read_nodes_csv(manifest.add_input(nodes_path))
     if users != directory.sorted_user_ids():
         raise StageError("graph: nodes.norm.csv users do not match directory.csv")
     if logs is None:
@@ -469,10 +460,8 @@ def stage_graph(cfg, manifest: Manifest, logs: ParsedLogs | None = None) -> None
         directory, events, matrix, names,
         internal_domain=cfg["internal_domain"], rejects=rejects,
     )
-    write_edges_csv(out / "edges.csv", graph)
-    manifest.add_output(out / "edges.csv")
-    rejects.write_csv(out / "graph_rejects.csv")
-    manifest.add_output(out / "graph_rejects.csv")
+    write_edges_csv(manifest.add_output(out / "edges.csv"), graph)
+    rejects.write_csv(manifest.add_output(out / "graph_rejects.csv"))
     manifest.data["stats"]["graph"] = {
         **degree_profile(graph),
         "rejected": len(rejects), "rejected_by_reason": rejects.counts_by_class(),
@@ -491,8 +480,7 @@ def stage_cluster(cfg, manifest: Manifest, params: ClusterParams | None = None,
     if graph is None:
         graph = _load_graph_artifacts(cfg, manifest)
     result = grasp_cluster(graph, params or _cluster_params(cfg))
-    write_clusters_jsonl(out / "clusters.jsonl", result, graph)
-    manifest.add_output(out / "clusters.jsonl")
+    write_clusters_jsonl(manifest.add_output(out / "clusters.jsonl"), result, graph)
     stats = manifest.data["stats"]
     stats[f"clusters:{out.name}"] = len(result.clusters)
     if result.stats:
@@ -508,19 +496,15 @@ def stage_rank(cfg, manifest: Manifest, case_dir: Path | None = None,
     if graph is None:
         graph = _load_graph_artifacts(cfg, manifest)
     clusters_path = _require(out / "clusters.jsonl", "cluster artifact (run cluster first)")
-    manifest.add_input(clusters_path)
-    result = read_clusters_jsonl(clusters_path, graph)
+    result = read_clusters_jsonl(manifest.add_input(clusters_path), graph)
     if centralities is None:
         centralities = _centralities(cfg, graph)
-    write_centrality_csv(out / "centrality.csv", graph, centralities)
-    manifest.add_output(out / "centrality.csv")
+    write_centrality_csv(manifest.add_output(out / "centrality.csv"), graph, centralities)
     table = compute_scores(result, centralities, graph,
                            centrality_outside_sum=cfg["centrality_outside_sum"])
-    write_scores_csv(out / "scores.csv", table)
-    manifest.add_output(out / "scores.csv")
-    for variant in cfg["score_variants"]:
-        write_ranking_csv(out / f"ranking.{variant}.csv", table, variant)
-        manifest.add_output(out / f"ranking.{variant}.csv")
+    write_scores_csv(manifest.add_output(out / "scores.csv"), table)
+    for variant in range(1, N_VARIANTS + 1):
+        write_ranking_csv(manifest.add_output(out / f"ranking.{variant}.csv"), table, variant)
     print(f"rank: scored {len(table.user_ids)} users, "
           f"{int((table.memberships > 0).sum())} appear in clusters")
 
@@ -529,13 +513,12 @@ def stage_eval(cfg, manifest: Manifest, params: ClusterParams | None = None,
                case_dir: Path | None = None, case_label: str = "A"):
     out = case_dir or _out_dir(cfg)
     scores_path = _require(out / "scores.csv", "score artifact (run rank first)")
-    manifest.add_input(scores_path)
     truth_path = _ground_truth_path(cfg)
     if truth_path is None:
         raise StageError("missing ground truth: set the ground_truth config key")
     manifest.add_input(_require(truth_path, "ground truth file"))
     truth = load_ground_truth(truth_path)
-    table = read_scores_csv(scores_path)
+    table = read_scores_csv(manifest.add_input(scores_path))
     missing = sorted(truth.missing_from(table.user_ids))
     if missing:
         _warn(f"{len(missing)} ground-truth user(s) have no score: {missing}")
@@ -545,16 +528,12 @@ def stage_eval(cfg, manifest: Manifest, params: ClusterParams | None = None,
         column = table.score(variant)
         curve = roc_auc(dict(zip(table.user_ids, column)), truth)
         aucs.append(curve.auc)
-        if variant in cfg["score_variants"]:
-            write_roc_csv(out / f"roc.{variant}.csv", curve)
-            manifest.add_output(out / f"roc.{variant}.csv")
-            write_distribution_csv(out / f"distribution.{variant}.csv",
-                                   score_distribution(table, variant))
-            manifest.add_output(out / f"distribution.{variant}.csv")
+        write_roc_csv(manifest.add_output(out / f"roc.{variant}.csv"), curve)
+        write_distribution_csv(manifest.add_output(out / f"distribution.{variant}.csv"),
+                               score_distribution(table, variant))
     params = params or _cluster_params(cfg)
     row = (case_label, params, aucs)
-    write_auc_summary_csv(out / "auc_summary.csv", [row])
-    manifest.add_output(out / "auc_summary.csv")
+    write_auc_summary_csv(manifest.add_output(out / "auc_summary.csv"), [row])
     shown = ", ".join(f"score_{k + 1}={a:.4f}" for k, a in enumerate(aucs))
     print(f"eval[{case_label}]: {shown}")
     return row
@@ -588,6 +567,8 @@ def _parse_grid(text: str) -> list[tuple[str, list]]:
                 f"invalid grid: expected '<param>=<values>' with param in "
                 f"{sorted(_GRID_KEYS)}, got {part!r}"
             )
+        if key in dict(axes):
+            raise StageError(f"invalid grid: {key} is given twice")
         values_text = values_text.strip()
         try:
             if ".." in values_text:
@@ -602,6 +583,8 @@ def _parse_grid(text: str) -> list[tuple[str, list]]:
                     raise ValueError("no values")
                 values = [json.loads(t) for t in tokens]
             values = [_typed(key, v) for v in values]
+            if len(set(values)) < len(values):
+                raise ValueError("a value is repeated")
         except json.JSONDecodeError as exc:
             raise StageError(f"invalid grid: {part!r}: {exc.doc!r} is not a number")
         except ValueError as exc:
@@ -670,8 +653,7 @@ def stage_pipeline(cfg, manifest: Manifest, grid: str | None = None) -> None:
             rows.append(timed(f"eval:{label}", stage_eval, cfg, manifest, params,
                               case_dir, label))
     if rows:
-        write_auc_summary_csv(out / "auc_summary.csv", rows)
-        manifest.add_output(out / "auc_summary.csv")
+        write_auc_summary_csv(manifest.add_output(out / "auc_summary.csv"), rows)
 
 
 def main(argv=None) -> int:
@@ -726,8 +708,11 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: eigenvector centrality did not converge: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError among them
         print(f"error: invalid inputs: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,6 @@ ties) cross-checks every call and a disagreement beyond 1e-9 raises.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -21,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import ClusterParams
+from .ingest import write_table
 from .ranking import N_VARIANTS, OutlierScoreTable
 
 __all__ = [
@@ -128,19 +128,11 @@ def score_distribution(table: OutlierScoreTable, variant: int) -> list[tuple[int
 
 
 def write_roc_csv(path: str | Path, curve: RocCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in curve.points:
-            writer.writerow([repr(float(fpr)), repr(float(tpr))])
+    write_table(path, ("fpr", "tpr"), curve.points)
 
 
 def write_distribution_csv(path: str | Path, series: Sequence[tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "score"])
-        for rank, score in series:
-            writer.writerow([rank, repr(float(score))])
+    write_table(path, ("rank", "score"), series)
 
 
 def write_auc_summary_csv(
@@ -155,12 +147,10 @@ def write_auc_summary_csv(
     """
     varied = [f.name for f in fields(ClusterParams) if f.name not in ("n_min", "s_min")
               and len({getattr(params, f.name) for _, params, _ in rows}) > 1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "n_min", "s_min"]
-                        + [f"score_{k}" for k in range(1, N_VARIANTS + 1)] + varied)
-        for case, params, aucs in rows:
-            if len(aucs) != N_VARIANTS:
-                raise ValueError(f"case {case}: expected {N_VARIANTS} AUC values, got {len(aucs)}")
-            writer.writerow([case, params.n_min, params.s_min] + [repr(float(a)) for a in aucs]
-                            + [getattr(params, key) for key in varied])
+    for case, _, aucs in rows:
+        if len(aucs) != N_VARIANTS:
+            raise ValueError(f"case {case}: expected {N_VARIANTS} AUC values, got {len(aucs)}")
+    scores = [f"score_{k}" for k in range(1, N_VARIANTS + 1)]
+    write_table(path, ["case", "n_min", "s_min", *scores, *varied],
+                ([case, params.n_min, params.s_min, *aucs, *(getattr(params, k) for k in varied)]
+                 for case, params, aucs in rows))

@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import (EMAIL, EVENT_KINDS, FILE_COPY, EventTable, OrgDirectory, _csv_rows,
-                     _distinct, _intern, _microseconds)
+from .ingest import (EMAIL, EVENT_KINDS, FILE_COPY, EventTable, OrgDirectory, _distinct,
+                     _intern, _microseconds, read_table, write_table)
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -367,36 +367,23 @@ def write_nodes_csv(
     matrix: np.ndarray,
     names: Sequence[str] = ATTRIBUTE_NAMES,
 ) -> None:
-    import csv
-
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(user_ids), len(names)):
         raise ValueError(
             f"matrix shape {matrix.shape} does not match {len(user_ids)} users x {len(names)} attributes"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", *names])
-        for uid, row in zip(user_ids, matrix):
-            writer.writerow([uid, *(repr(float(x)) for x in row)])
+    write_table(path, ["user_id", *names],
+                ([uid, *row.tolist()] for uid, row in zip(user_ids, matrix)))
+
+
+def _nodes_header(names: list[str]) -> None:
+    if names[:1] != ["user_id"]:
+        raise ValueError("expected a nodes table starting with user_id")
 
 
 def read_nodes_csv(path) -> tuple[list[str], np.ndarray, list[str]]:
     """Read a nodes table; returns (user_ids, matrix, attribute names)."""
-    with open(path, newline="") as fh:
-        rows_in = _csv_rows(fh, str(path))
-        _, header = next(rows_in, (0, None))
-        if not header or header[0] != "user_id":
-            raise ValueError(f"{path}: expected a nodes table starting with user_id")
-        names = header[1:]
-        users: list[str] = []
-        rows: list[list[float]] = []
-        for _, row in rows_in:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: row width {len(row)} != header width {len(header)}")
-            users.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    matrix = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return users, matrix, names
+    header, rows = read_table(path, _nodes_header,
+                              lambda row: (row[0], [float(x) for x in row[1:]]))
+    matrix = np.array([values for _, values in rows], np.float64)
+    return [user for user, _ in rows], matrix.reshape(len(rows), len(header) - 1), header[1:]

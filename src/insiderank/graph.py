@@ -16,14 +16,13 @@ purposes and is recorded in the reject report.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .features import _is_internal, read_nodes_csv
-from .ingest import EMAIL, EventTable, OrgDirectory, RejectReport, _csv_rows
+from .ingest import EMAIL, EventTable, OrgDirectory, RejectReport, read_table, write_table
 
 __all__ = [
     "AttributedGraph",
@@ -194,31 +193,19 @@ def degree_profile(graph: AttributedGraph) -> dict[str, float]:
 def write_edges_csv(path: str | Path, graph: AttributedGraph) -> None:
     """Write undirected edges as ``src,dst`` user-id pairs, src < dst."""
     names = graph.user_ids
-    rows = sorted(tuple(sorted((names[u], names[v]))) for u, v in graph.edges.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        writer.writerows(rows)
+    write_table(path, ("src", "dst"),
+                sorted(tuple(sorted((names[u], names[v]))) for u, v in graph.edges.tolist()))
 
 
 def read_edges_csv(path: str | Path, index: Mapping[str, int]) -> np.ndarray:
     """The ``(m, 2)`` vertex pairs of an edge table, in file order."""
-    ends: list[int] = []
-    with open(path, newline="") as fh:
-        rows = _csv_rows(fh, str(path))
-        _, header = next(rows, (0, None))
-        if header != ["src", "dst"]:
-            raise ValueError(f"{path}: expected an edge table with header src,dst")
-        for _, row in rows:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: bad edge row {row!r}")
-            src, dst = row
-            if src not in index or dst not in index:
-                raise ValueError(f"{path}: edge references unknown user {row!r}")
-            ends += (index[src], index[dst])
-    return np.array(ends, np.int64).reshape(-1, 2)
+    def vertex(user: str) -> int:
+        if user not in index:
+            raise ValueError(f"edge references unknown user {user!r}")
+        return index[user]
+
+    _, pairs = read_table(path, ("src", "dst"), lambda row: (vertex(row[0]), vertex(row[1])))
+    return np.array(pairs, np.int64).reshape(-1, 2)
 
 
 def load_graph(nodes_csv: str | Path, edges_csv: str | Path) -> AttributedGraph:

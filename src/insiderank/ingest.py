@@ -25,6 +25,11 @@ raises ValueError naming the file and line.
 
 LDAP-style directory snapshots (one CSV per month) are merged into an
 :class:`OrgDirectory`; later snapshots win for users present in several.
+
+Every CSV file but the activity logs, that is the directory snapshots and
+the artifacts of every stage, is written by :func:`write_table` and read by
+:func:`read_table`: a header row, floats as their ``repr``, blank lines
+skipped on reading, and every reading error named by file and line.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import operator
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,8 +59,10 @@ __all__ = [
     "parse_log_file",
     "parse_timestamp",
     "read_log_csv",
+    "read_table",
     "write_directory_csv",
     "write_log_file",
+    "write_table",
 ]
 
 TIMESTAMP_FORMAT = "%m/%d/%Y %H:%M:%S"
@@ -262,10 +269,7 @@ class RejectReport:
         return counts
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["file", "line", "reason"])
-            writer.writerows(self.rows)
+        write_table(path, ("file", "line", "reason"), self.rows)
 
 
 def _layout(kind: str) -> LogLayout:
@@ -299,6 +303,49 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str
             yield reader.line_num, row
     except csv.Error as exc:
         raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
+
+
+def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a CSV artifact: the header row, then ``rows``.  ``csv`` writes
+    each cell with ``str``, which is ``repr`` for a Python float, so floats
+    go in as Python floats (``ndarray.tolist()`` gives those)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path, header: Sequence[str] | Callable[[list[str]], object],
+               convert: Callable[[list[str]], object]) -> tuple[list[str], list]:
+    """The header row of a CSV artifact, and ``convert(row)`` for each later
+    row that is not blank.
+
+    ``header`` is the exact header the file must start with, or a function
+    that raises ValueError when the header it is given (``[]`` for an empty
+    file) is wrong.  A refused header raises SchemaError; a row whose width
+    is not the header's, or that ``convert`` refuses with ValueError, raises
+    ValueError, and so does text that is not valid CSV.  Each message reads
+    ``<path>:<line>: <reason>``.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        error: type[ValueError] = SchemaError  # until the header is accepted
+        try:
+            names = next(reader, [])
+            if callable(header):
+                header(names)
+            elif names != list(header):
+                raise ValueError(f"expected the header {','.join(header)}")
+            error, rows = ValueError, []
+            for row in reader:
+                if len(row) != len(names):
+                    if not row:
+                        continue
+                    raise ValueError(f"expected {len(names)} fields, got {len(row)}")
+                rows.append(convert(row))
+        except (csv.Error, ValueError) as exc:
+            raise error(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
+    return names, rows
 
 
 def _csv_batches(lines: Iterable[str], source: str) -> Iterator[list[tuple[int, list[str]]]]:
@@ -623,11 +670,6 @@ _LDAP_COLUMNS = (
 )
 
 
-def _user_record(row: Mapping[str, str], supervisor: str | None) -> UserRecord:
-    """The record of one snapshot row, with its supervisor resolved to a user id."""
-    return UserRecord(**{**row, "supervisor": supervisor})
-
-
 @dataclass
 class OrgDirectory:
     """Merged directory state: one record per user, supervisors resolved."""
@@ -662,28 +704,30 @@ class OrgDirectory:
         return mapping
 
 
-def _read_ldap_rows(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
-        reader = _csv_rows(fh, path.name)
-        try:
-            _, raw_header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path.name}: empty directory snapshot")
-        positions = {name.strip().lower(): i for i, name in enumerate(raw_header)}
+def _read_ldap_rows(path: str | Path) -> list[dict[str, str]]:
+    """The rows of one directory snapshot, as its fields by column name; an
+    empty or repeated user id is an error."""
+    positions: dict[str, int] = {}
+    seen: set[str] = set()
+
+    def header(names: list[str]) -> None:
+        positions.update((name.strip().lower(), i) for i, name in enumerate(names))
         missing = [c for c in _LDAP_COLUMNS if c not in positions]
         if missing:
-            raise SchemaError(
-                f"{path.name}: directory snapshot is missing column(s) {missing}; "
-                f"expected {list(_LDAP_COLUMNS)}"
-            )
-        rows = []
-        for line, row in reader:
-            if not row:
-                continue
-            if len(row) <= max(positions[c] for c in _LDAP_COLUMNS):
-                raise ValueError(f"{path.name}: truncated row at line {line}")
-            rows.append({c: row[positions[c]].strip() for c in _LDAP_COLUMNS})
-        return rows
+            raise ValueError(f"directory snapshot is missing column(s) {missing}; "
+                             f"expected {list(_LDAP_COLUMNS)}")
+
+    def fields(row: list[str]) -> dict[str, str]:
+        named = {c: row[positions[c]].strip() for c in _LDAP_COLUMNS}
+        uid = named["user_id"]
+        if not uid:
+            raise ValueError("empty user_id")
+        if uid in seen:
+            raise ValueError(f"duplicate user_id {uid!r}")
+        seen.add(uid)
+        return named
+
+    return read_table(path, header, fields)[1]
 
 
 def load_ldap_snapshots(directory: str | Path) -> OrgDirectory:
@@ -703,16 +747,9 @@ def load_ldap_snapshots(directory: str | Path) -> OrgDirectory:
     merged: dict[str, dict[str, str]] = {}
     name_to_ids: dict[str, set[str]] = {}
     for path in paths:
-        seen_in_file: set[str] = set()
         for row in _read_ldap_rows(path):
-            uid = row["user_id"]
-            if not uid:
-                raise ValueError(f"{path.name}: row with empty user_id")
-            if uid in seen_in_file:
-                raise ValueError(f"{path.name}: duplicate user_id {uid!r}")
-            seen_in_file.add(uid)
-            merged[uid] = row
-            name_to_ids.setdefault(row["employee_name"], set()).add(uid)
+            merged[row["user_id"]] = row
+            name_to_ids.setdefault(row["employee_name"], set()).add(row["user_id"])
 
     users: dict[str, UserRecord] = {}
     for uid, row in merged.items():
@@ -732,31 +769,25 @@ def load_ldap_snapshots(directory: str | Path) -> OrgDirectory:
                 raise ValueError(
                     f"user {uid!r}: supervisor name {raw_sup!r} is ambiguous ({sorted(ids)})"
                 )
-        users[uid] = _user_record(row, supervisor)
+        users[uid] = UserRecord(**{**row, "supervisor": supervisor})
     return OrgDirectory(users=users)
 
 
 def write_directory_csv(path: str | Path, directory: OrgDirectory) -> None:
     """Write the merged directory as a single snapshot (stable row order)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LDAP_COLUMNS)
-        for uid in directory.sorted_user_ids():
-            record = directory.users[uid]
-            writer.writerow([getattr(record, c) or "" for c in _LDAP_COLUMNS])
+    records = map(directory.users.__getitem__, directory.sorted_user_ids())
+    write_table(path, _LDAP_COLUMNS,
+                ([getattr(record, c) or "" for c in _LDAP_COLUMNS] for record in records))
 
 
 def load_directory_csv(path: str | Path) -> OrgDirectory:
     """Load a directory previously written by :func:`write_directory_csv`."""
-    rows = _read_ldap_rows(Path(path))
-    users: dict[str, UserRecord] = {}
+    rows = _read_ldap_rows(path)
     known = {row["user_id"] for row in rows}
+    users: dict[str, UserRecord] = {}
     for row in rows:
-        uid = row["user_id"]
-        if uid in users:
-            raise ValueError(f"duplicate user_id {uid!r}")
         sup = row["supervisor"] or None
         if sup is not None and sup not in known:
-            raise ValueError(f"user {uid!r}: unknown supervisor id {sup!r}")
-        users[uid] = _user_record(row, sup)
+            raise ValueError(f"user {row['user_id']!r}: unknown supervisor id {sup!r}")
+        users[row["user_id"]] = UserRecord(**{**row, "supervisor": sup})
     return OrgDirectory(users=users)

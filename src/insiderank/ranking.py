@@ -24,7 +24,6 @@ affected normalized term 0 rather than dividing by zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 from .centrality import CentralityTable
 from .clustering import ClusteringResult
 from .graph import AttributedGraph
-from .ingest import _csv_rows
+from .ingest import read_table, write_table
 
 __all__ = [
     "OutlierScoreTable",
@@ -148,43 +147,21 @@ def rank_users(table: OutlierScoreTable, variant: int) -> list[str]:
 
 
 def write_scores_csv(path: str | Path, table: OutlierScoreTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORES_HEADER)
-        for i, user in enumerate(table.user_ids):
-            writer.writerow(
-                [user]
-                + [repr(float(x)) for x in table.scores[i]]
-                + [int(table.memberships[i])]
-            )
+    write_table(path, _SCORES_HEADER,
+                ([user, *scores, count] for user, scores, count in
+                 zip(table.user_ids, table.scores.tolist(), table.memberships.tolist())))
 
 
 def read_scores_csv(path: str | Path) -> OutlierScoreTable:
-    with open(path, newline="") as fh:
-        rows_in = _csv_rows(fh, str(path))
-        _, header = next(rows_in, (0, None))
-        if header != _SCORES_HEADER:
-            raise ValueError(f"{path}: expected header {_SCORES_HEADER}, got {header}")
-        users: list[str] = []
-        rows: list[list[float]] = []
-        counts: list[int] = []
-        for _, row in rows_in:
-            if len(row) != len(_SCORES_HEADER):
-                raise ValueError(f"{path}: malformed row {row}")
-            users.append(row[0])
-            rows.append([float(x) for x in row[1:-1]])
-            counts.append(int(row[-1]))
-    return OutlierScoreTable(
-        tuple(users),
-        np.array(rows, dtype=np.float64).reshape(len(users), N_VARIANTS),
-        np.array(counts, dtype=np.int64),
-    )
+    _, rows = read_table(path, _SCORES_HEADER,
+                         lambda row: (row[0], [float(x) for x in row[1:-1]], int(row[-1])))
+    users, scores, counts = zip(*rows) if rows else ((), (), ())
+    return OutlierScoreTable(users, np.array(scores, np.float64).reshape(len(users), N_VARIANTS),
+                             np.array(counts, np.int64))
 
 
 def write_ranking_csv(path: str | Path, table: OutlierScoreTable, variant: int) -> None:
-    col = table.score(variant)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "user_id", "score"])
-        for pos, i in enumerate(_ranked_indices(table, variant), start=1):
-            writer.writerow([pos, table.user_ids[i], repr(float(col[i]))])
+    col = table.score(variant).tolist()
+    write_table(path, ("rank", "user_id", "score"),
+                ([pos, table.user_ids[i], col[i]]
+                 for pos, i in enumerate(_ranked_indices(table, variant), start=1)))

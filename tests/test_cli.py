@@ -183,7 +183,7 @@ def test_config_types_follow_defaults(tmp_path, capsys):
 
     refused = [("n_min", True), ("grasp_iterations", 2.5), ("w", "0.1"), ("log_dir", 3),
                ("business_days", "0-4"), ("business_days", [1.5]), ("business_days", ["3"]),
-               ("business_days", [True]), ("score_variants", [True]), ("out_dir", None),
+               ("business_days", [True]), ("out_dir", None),
                ("a_exp", float("inf")), ("eigen_tol", float("nan"))]
     for i, (key, value) in enumerate(refused):
         config = write_config(tmp_path / f"{i}.json", **{"out_dir": out, key: value})
@@ -263,6 +263,57 @@ def test_oversized_csv_field_is_one_line_error(tmp_path, corpus, built_out, stag
     assert "Traceback" not in proc.stderr
 
 
+# Every CSV artifact reader, with a stage that reads that file first.
+ARTIFACT_READERS = [
+    ("ingest", "corpus/ldap/2009-12.csv"),
+    ("features", "out/directory.csv"),
+    ("cluster", "out/nodes.norm.csv"),
+    ("cluster", "out/edges.csv"),
+    ("eval", "out/scores.csv"),
+]
+
+
+# Each edit is made to the first data row: "short" cuts it to one field,
+# "non-numeric" puts a word in its last (numeric) cell, and "blank" puts a
+# blank line before it, which the reader skips.
+@pytest.mark.parametrize("stage, name, edit", [
+    *((stage, name, edit) for stage, name in ARTIFACT_READERS for edit in ("short", "blank")),
+    ("cluster", "out/nodes.norm.csv", "non-numeric"),
+    ("eval", "out/scores.csv", "non-numeric"),
+])
+def test_malformed_artifact_row_names_its_file_and_line(tmp_path, corpus, built_out, capsys,
+                                                         stage, name, edit):
+    shutil.copytree(corpus, tmp_path / "corpus")
+    shutil.copytree(built_out, tmp_path / "out")
+    path = tmp_path / name
+    header, first, *rest = path.read_text().splitlines()
+    fields = first.split(",")
+    edited = {"short": [fields[0]], "non-numeric": [",".join([*fields[:-1], "abc"])],
+              "blank": ["", first]}[edit]
+    path.write_text("\n".join([header, *edited, *rest]) + "\n")
+    config = write_config(tmp_path / "cfg.json", log_dir=str(tmp_path / "corpus"),
+                          out_dir=str(tmp_path / "out"))
+    code = main([stage, "--config", config])
+    err = capsys.readouterr().err
+    if edit == "blank":
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert err.startswith(f"error: invalid inputs: {path}:2: "), err
+        assert err.count("\n") == 1, err
+
+
+def test_input_path_that_is_a_directory_is_one_line_error(tmp_path, corpus, built_out):
+    shutil.copytree(built_out, tmp_path / "out")
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"), ground_truth=str(tmp_path))
+    proc = run_cli("eval", "--config", config)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read {tmp_path}: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))
@@ -312,9 +363,11 @@ def test_grid_pipeline_shares_graph_and_centralities(tmp_path, corpus, monkeypat
 def test_bad_grid_rejected(tmp_path, corpus, capsys):
     config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
                           out_dir=str(tmp_path / "out"))
-    for grid in ("bogus=1", "n_min", "n_min=", "n_min=5..3", "w=NaN", "w=abc"):
-        assert main(["pipeline", "--config", config, "--grid", grid]) == 1
-        assert "invalid grid" in capsys.readouterr().err
+    for grid in ("bogus=1", "n_min", "n_min=", "n_min=5..3", "w=NaN", "w=abc",
+                 "n_min=3;n_min=4", "n_min=3,3", "gamma_min=1,1.0"):
+        assert main(["pipeline", "--config", config, "--grid", grid]) == 1, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid grid: ") and err.count("\n") == 1, (grid, err)
 
 
 def test_grid_values_take_their_key_types(tmp_path, corpus):
@@ -563,7 +616,7 @@ def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
     assert {"rejects.csv", "nodes.csv", "nodes.norm.csv", "edges.csv", "graph_rejects.csv",
             "clusters.jsonl", "centrality.csv", "scores.csv", "auc_summary.csv",
             *(f"{kind}.{k}.csv" for kind in ("ranking", "roc", "distribution")
-              for k in cli.DEFAULTS["score_variants"])} <= set(artifacts)
+              for k in range(1, 7))} <= set(artifacts)
     for name in artifacts:
         assert (piped / name).read_bytes() == (staged / name).read_bytes(), name
     rejects = (piped / "rejects.csv").read_text()
@@ -636,6 +689,37 @@ PINNED_CLUSTERS = {
 }
 
 
+# sha256 of the CSV artifacts that the same runs write before clustering,
+# taken when each module formatted its own floats with repr().  None of them
+# goes through BLAS, so their bytes do not depend on the host.
+PINNED_CSV = {
+    "cap-1": {
+        "directory.csv": "cfc3d746284ff102a492e80e5c29a70608cd69da632ce9711388007e7509ee36",
+        "rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+        "nodes.csv": "2a2e0af624f528c91bcb1d49d89feaece2a9e76acd3a6835fdbe5d9a2c428952",
+        "nodes.norm.csv": "78e9c44966d7d86c69027108b3cc26f6fcc564cb356c344827a4013ef83af262",
+        "edges.csv": "fe9dc25460d2151f3c8643549cf3bc244dba4ea44717b6540a6e57048ff66245",
+        "graph_rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+    },
+    "default-1": {
+        "directory.csv": "e6bb3cb01d8abb2879987bf77918a4f6cf4ffa8519c8238d79fbaef07c64a7dd",
+        "rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+        "nodes.csv": "412172e9922c1e6bfb861cd00d9d680fed80d34dd0584ac6f66d2314d58669af",
+        "nodes.norm.csv": "d3f778e31440eff858b77942968f9d520cebb2cd3596a28894622dcd305dff74",
+        "edges.csv": "f817a1c086efdea9d104861f597b0259b864d162d78f1d839e0b61eacbd4428a",
+        "graph_rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+    },
+    "default-2": {
+        "directory.csv": "3c5a58f36e46530433ee494e9ba83447f024b3ed300af4a5d6bab4628a2332ec",
+        "rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+        "nodes.csv": "e5bbb9158442fc21e7b559b40ca18c09774fde82d1794cfba5e2cbbbca6090ce",
+        "nodes.norm.csv": "9270e0a28f271bd799c652cf45522da9ec8ca70d9507ba700bfb81f2bfe5264f",
+        "edges.csv": "2a6464c53c0465254d359c27fcf64ae28ba638450eac14cf692cde031dee8192",
+        "graph_rejects.csv": "54d5cb39d1b90a1e7496a705f1d75f387e9d895a89bde3f23c2a12e01fed5752",
+    },
+}
+
+
 @pytest.mark.parametrize("case", sorted(PINNED_CLUSTERS))
 def test_pipeline_clusters_are_pinned(tmp_path, case):
     spec, calendar, n_days = _pinned_case(case)
@@ -647,5 +731,6 @@ def test_pipeline_clusters_are_pinned(tmp_path, case):
         cfg["grasp_iterations"] = 100
     (tmp_path / "config.json").write_text(json.dumps(cfg))
     assert main(["pipeline", "--config", str(tmp_path / "config.json"), *args]) == 0
-    written = hashlib.sha256((tmp_path / "out" / "clusters.jsonl").read_bytes()).hexdigest()
-    assert written == PINNED_CLUSTERS[case]
+    written = {artifact: hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest()
+               for artifact in ("clusters.jsonl", *PINNED_CSV[case])}
+    assert written == {"clusters.jsonl": PINNED_CLUSTERS[case], **PINNED_CSV[case]}

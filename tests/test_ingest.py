@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from datetime import datetime
 
 import pytest
@@ -368,6 +369,21 @@ def test_ldap_missing_column_is_schema_error(tmp_path):
     (ldap / "2010-01.csv").write_text("employee_name,user_id,email\nAda,U1,a@x\n")
     with pytest.raises(SchemaError):
         load_ldap_snapshots(ldap)
+
+
+@pytest.mark.parametrize("uid, reason", [("U1", "duplicate user_id 'U1'"),
+                                         ("", "empty user_id")])
+def test_snapshot_user_id_errors_name_the_line(tmp_path, uid, reason):
+    ldap = tmp_path / "ldap"
+    ldap.mkdir()
+    path = ldap / "2010-01.csv"
+    path.write_text(_snapshot(["Ada Smith,U1,ada@dtaa.com,Engineer,p,FU1,D1,T1,",
+                               f"Bob Jones,{uid},bob@dtaa.com,Engineer,p,FU1,D1,T1,"]))
+    message = f"^{re.escape(f'{path}:3: {reason}')}$"
+    with pytest.raises(ValueError, match=message):
+        load_ldap_snapshots(ldap)
+    with pytest.raises(ValueError, match=message):
+        load_directory_csv(path)
 
 
 def test_duplicate_email_address_is_an_error():
