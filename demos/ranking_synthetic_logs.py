@@ -40,7 +40,8 @@ with tempfile.TemporaryDirectory(prefix="demo_logs_") as tmp:
     directory = generate_logs(spec, calendar, out_dir, n_days=15).directory
     print(f"wrote corpus to {out_dir}")
     for path in sorted(out_dir.glob("*.csv")):
-        print(f"  {path.name}: {sum(1 for _ in open(path)) - 1} rows")
+        with open(path) as fh:
+            print(f"  {path.name}: {sum(1 for _ in fh) - 1} rows")
 
     # parse the four activity logs back in, one event table per log
     logs = {kind: read_log_csv(out_dir / f"{kind}.csv", kind)

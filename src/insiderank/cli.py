@@ -147,12 +147,6 @@ DEFAULTS: dict[str, object] = {
     "synth_k_clusters": 3,
     "synth_size_lo": 4,
     "synth_size_hi": 6,
-    "synth_subspace_lo": 8,
-    "synth_subspace_hi": 10,
-    "synth_p_in": 0.9,
-    "synth_p_out": 0.05,
-    "synth_n_attributes": 40,
-    "synth_width": 0.05,
     "synth_n_outliers": 3,
     "synth_n_days": 20,
 }
@@ -270,11 +264,8 @@ def _synth_spec(cfg) -> SynthSpec:
             n_users=cfg["synth_n_users"],
             k_clusters=cfg["synth_k_clusters"],
             size_range=(cfg["synth_size_lo"], cfg["synth_size_hi"]),
-            subspace_range=(cfg["synth_subspace_lo"], cfg["synth_subspace_hi"]),
-            p_in=cfg["synth_p_in"],
-            p_out=cfg["synth_p_out"],
-            n_attributes=cfg["synth_n_attributes"],
-            width=cfg["synth_width"],
+            # fixed: these graph-only fields reach no log row (rng_seed re-draws groups)
+            subspace_range=(8, 10), p_in=0.9, p_out=0.05, n_attributes=40, width=0.05,
             n_outliers=cfg["synth_n_outliers"],
             rng_seed=cfg["rng_seed"],
         )
@@ -711,8 +702,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # SchemaError among them
         print(f"error: invalid inputs: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a read or a write; the path, if any, is all it names
+        where = "" if exc.filename is None else f"cannot access {exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

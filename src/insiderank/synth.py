@@ -6,7 +6,7 @@ randomly chosen attribute subspace, on top of uniform attribute noise and
 background edges.  Outlier vertices are wired into one host group's topology
 but carry values far outside that group's subspace ranges; their ids form
 the ground truth.  `generate_logs` turns the same planted structure into a
-small activity-log corpus in the ingest schema, where group members share
+an activity-log corpus in the ingest schema, where group members share
 behaviour profiles and outliers log on heavily after hours.  Its draw loop
 appends plain ints and strings to per-log columns; each log is then put in
 time order as one :class:`~insiderank.ingest.EventTable` and written with
@@ -296,7 +296,6 @@ def generate_logs(
     out_dir: str | Path,
     *,
     n_days: int = 20,
-    start_date: date = date(2010, 1, 4),
     silent_users: Iterable[str] = (),
 ) -> SynthCorpus:
     """Write a synthetic log corpus reflecting the spec's planted structure.
@@ -308,10 +307,9 @@ def generate_logs(
     edges); outliers follow their host group's profile but add heavy
     after-hours logons.  Users listed in silent_users emit no events at all.
     """
-    if spec.n_users > 200:
-        raise ValueError("log generation is capped at 200 users")
-    if not (1 <= n_days <= 60):
-        raise ValueError("n_days must be within 1..60")
+    if n_days < 1:
+        raise ValueError("n_days must be positive")
+    start_date = date(2010, 1, 4)  # a Monday; every corpus starts on it
     silent = set(silent_users)
 
     _, truth, planted, outlier_hosts = generate_attributed_graph_detailed(spec)

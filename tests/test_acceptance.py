@@ -516,8 +516,7 @@ def test_criterion_8_rerun_determinism(tmp_path):
         "log_dir": str(corpus),
         "synth_n_users": 40, "synth_k_clusters": 3,
         "synth_size_lo": 4, "synth_size_hi": 6,
-        "synth_subspace_lo": 8, "synth_subspace_hi": 10,
-        "synth_n_attributes": 40, "synth_n_outliers": 3, "synth_n_days": 10,
+        "synth_n_outliers": 3, "synth_n_days": 10,
         "grasp_iterations": 400, "n_min": 2, "s_min": 4, "rng_seed": 7,
         "out_dir": str(tmp_path / "synth_out"),
     }

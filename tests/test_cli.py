@@ -20,9 +20,6 @@ SPEED_KEYS = dict(
     synth_k_clusters=2,
     synth_size_lo=3,
     synth_size_hi=4,
-    synth_subspace_lo=4,
-    synth_subspace_hi=6,
-    synth_n_attributes=12,
     synth_n_outliers=1,
     synth_n_days=8,
     grasp_iterations=150,
@@ -193,6 +190,46 @@ def test_config_types_follow_defaults(tmp_path, capsys):
         assert err.count("\n") == 1, (key, err)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("synth_subspace_lo", 8), ("synth_subspace_hi", 10), ("synth_p_in", 0.9),
+    ("synth_p_out", 0.05), ("synth_n_attributes", 40), ("synth_width", 0.05),
+])
+def test_graph_only_synth_keys_are_gone(tmp_path, key, value):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+    proc = run_cli("synth", "--config", str(config), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: invalid config: unknown key(s) ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_refuses_zero_days(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), synth_n_days=0)
+    assert main(["synth", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: invalid config: synth: n_days must be positive\n"
+
+
+# A value for each synth key, other than its default, that changes the corpus.
+SYNTH_CHANGES = {"synth_n_users": 41, "synth_k_clusters": 2, "synth_size_lo": 5,
+                 "synth_size_hi": 7, "synth_n_outliers": 2, "synth_n_days": 19}
+
+
+def test_every_synth_key_changes_the_corpus(tmp_path, capsys):
+    assert sorted(SYNTH_CHANGES) == sorted(k for k in cli.DEFAULTS if k.startswith("synth_"))
+
+    def corpus_bytes(name, **overrides):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"out_dir": str(tmp_path / name), **overrides}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        corpus = tmp_path / name / "corpus"
+        return {p.relative_to(corpus): p.read_bytes() for p in corpus.rglob("*") if p.is_file()}
+
+    default = corpus_bytes("default")
+    for key, value in SYNTH_CHANGES.items():
+        assert value != cli.DEFAULTS[key]
+        assert corpus_bytes(key, **{key: value}) != default, key
+
+
 def test_threads_knob_is_gone(tmp_path):
     config = tmp_path / "threads.json"
     config.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
@@ -309,9 +346,29 @@ def test_input_path_that_is_a_directory_is_one_line_error(tmp_path, corpus, buil
                           out_dir=str(tmp_path / "out"), ground_truth=str(tmp_path))
     proc = run_cli("eval", "--config", config)
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith(f"error: cannot read {tmp_path}: "), proc.stderr
+    assert proc.stderr.startswith(f"error: cannot access {tmp_path}: "), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_output_path_under_a_file_is_one_line_error(tmp_path):
+    (tmp_path / "taken").write_text("")
+    config = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "taken"))
+    proc = run_cli("synth", "--config", config)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: cannot access {tmp_path / 'taken' / 'corpus'}: Not a directory\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_disk_is_one_line_error(tmp_path, corpus):
+    # a write to /dev/full fails with ENOSPC, an OSError that names no file
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "rejects.csv").symlink_to("/dev/full")
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli("ingest", "--config", config)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: No space left on device\n"
 
 
 def test_grid_pipeline_mirrors_case_table(tmp_path, corpus):

@@ -249,15 +249,18 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_log_scale_bounds(tmp_path):
+    # no cap on users or days; only an empty day range is refused
     calendar = CalendarConfig()
     big = small_spec(n_users=201, k_clusters=0, n_outliers=0)
-    with pytest.raises(ValueError):
-        generate_logs(big, calendar, tmp_path)
+    corpus = generate_logs(big, calendar, tmp_path / "users", n_days=2)
+    assert len(corpus.directory) == 201
     spec = small_spec(n_users=8, k_clusters=0, n_outliers=0)
-    with pytest.raises(ValueError):
-        generate_logs(spec, calendar, tmp_path, n_days=61)
-    with pytest.raises(ValueError):
-        generate_logs(spec, calendar, tmp_path, n_days=0)
+    generate_logs(spec, calendar, tmp_path / "days", n_days=61)
+    tables, _ = load_corpus(tmp_path / "days")
+    assert int(tables["logon"].day.max() - tables["logon"].day.min()) == 60
+    with pytest.raises(ValueError, match="n_days must be positive"):
+        generate_logs(spec, calendar, tmp_path / "none", n_days=0)
+    assert not (tmp_path / "none").exists()
 
 
 def test_logs_reconstruct_group_edges(tmp_path):
