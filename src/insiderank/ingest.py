@@ -10,11 +10,23 @@ email.csv and file.csv is never parsed.
 
 Events exist only as :class:`EventTable` columns: one numpy column per
 field, with event ids joined into one string, and users, machines, email
-addresses and file names interned into code tables.  The parser reads a
-batch of CSV rows at a time and turns each batch into columns; zero-padded
-timestamps are decoded for the whole batch in one numpy pass, and any other
-string is left to :func:`parse_timestamp`.  :func:`write_log_file` writes a
-table back, formatting each distinct day once.
+addresses and file names interned into code tables.  :func:`write_log_file`
+writes a table back, formatting each distinct day once.
+
+:func:`read_log_csv` reads a log as UTF-8 and tokenizes it as bytes: it
+reads 256 KiB at a time, finds line ends (``\\n`` or ``\\r\\n``) and commas
+with vectorized compares, and decodes each field from its byte range.
+Timestamps become one matrix of character codes, decoded and range-checked
+together; the user, machine, activity, address and file-name fields are
+grouped on their bytes, so each distinct value is decoded and stripped
+once, into one code table per file; runs of digits become integers in
+numpy.  The first line that holds a quote, a bare ``\\r``, NUL or a
+non-ASCII byte, or that is longer than ``csv.field_size_limit()``, hands
+the rest of the file, from the start of that line's batch of rows, to
+``csv.reader``, since a quoted field can span lines.  :func:`parse_log_file`
+parses lines of text with ``csv.reader`` alone; both give the same table
+and rejects.  Any timestamp the vectorized pass refuses is left to
+:func:`parse_timestamp`.
 
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
@@ -35,6 +47,7 @@ skipped on reading, and every reading error named by file and line.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -80,7 +93,8 @@ _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 EMAIL, FILE_COPY = _KIND_CODE["email"], _KIND_CODE["file_copy"]
 
 # CSV rows turned into columns, or written from them, at a time: only one
-# batch of rows, with its free-text content fields, is held at once.
+# batch of rows, with its free-text content fields, is held at once.  A
+# log's addresses are numbered a batch at a time (see _LogParser).
 _BATCH_ROWS = 1 << 10
 
 
@@ -291,8 +305,10 @@ def _header_positions(raw_header: Sequence[str], kind: str) -> list[int]:
     return [positions[name] for name in required]
 
 
-def _csv_rows(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str]]]:
-    """``csv.reader`` over ``lines``, yielding (line number, row).
+def _csv_rows(lines: Iterable[str], source: str,
+              line: int = 0) -> Iterator[tuple[int, list[str]]]:
+    """``csv.reader`` over ``lines``, the first of which is line ``line + 1``
+    of ``source``, yielding (line number, row).
 
     Text that is not valid CSV, such as a field longer than
     ``csv.field_size_limit()``, raises ValueError naming ``source`` and the line.
@@ -300,9 +316,9 @@ def _csv_rows(lines: Iterable[str], source: str) -> Iterator[tuple[int, list[str
     reader = csv.reader(lines)
     try:
         for row in reader:
-            yield reader.line_num, row
+            yield line + reader.line_num, row
     except csv.Error as exc:
-        raise ValueError(f"{source}:{reader.line_num}: {exc}") from None
+        raise ValueError(f"{source}:{line + reader.line_num}: {exc}") from None
 
 
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -348,9 +364,10 @@ def read_table(path: str | Path, header: Sequence[str] | Callable[[list[str]], o
     return names, rows
 
 
-def _csv_batches(lines: Iterable[str], source: str) -> Iterator[list[tuple[int, list[str]]]]:
+def _csv_batches(lines: Iterable[str], source: str,
+                 line: int = 0) -> Iterator[list[tuple[int, list[str]]]]:
     """The pairs of :func:`_csv_rows` in lists of up to _BATCH_ROWS."""
-    rows = _csv_rows(lines, source)
+    rows = _csv_rows(lines, source, line)
     while batch := list(itertools.islice(rows, _BATCH_ROWS)):
         yield batch
 
@@ -369,24 +386,24 @@ _SEPARATORS = np.array([ord(c) for c in "// ::"], np.uint32)
 _DAYS_BEFORE = np.cumsum([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _timestamp_columns(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _timestamp_columns(chars: np.ndarray, fits: np.ndarray, text: Callable[[int], str]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Day ordinal, microseconds since midnight, and whether the stamp is a
-    valid timestamp, for each string in ``stamps``.
+    valid timestamp, for each stamp.
 
-    Zero-padded ASCII stamps are decoded and range-checked together;
-    :func:`parse_timestamp` decides every string that pass does not accept,
-    so the valid strings and their values are exactly parse_timestamp's.
+    ``chars`` holds the character codes of each stamp, one row of 19, and
+    ``fits`` says which stamps are exactly 19 characters long; ``text(i)``
+    is stamp ``i`` with its whitespace stripped.  Zero-padded ASCII stamps
+    are decoded and range-checked together; :func:`parse_timestamp` decides
+    every stamp that pass does not accept, so the valid stamps and their
+    values are exactly parse_timestamp's.
     """
-    n = len(stamps)
-    # strings longer than 19 are cut here, but their length rules them out
-    chars = np.array(stamps, dtype="U19").view(np.uint32).reshape(n, 19)
     d = chars.T[_DIGIT_AT].astype(np.int64) - ord("0")  # one row per digit
     month, dom, hour, minute, second = (d[i] * 10 + d[i + 1] for i in (0, 2, 8, 10, 12))
     year = ((d[4] * 10 + d[5]) * 10 + d[6]) * 10 + d[7]
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     m = np.clip(month, 1, 12)
-    ok = ((np.fromiter(map(len, stamps), np.int64, n) == 19)
-          & ((d >= 0) & (d <= 9)).all(axis=0)
+    ok = (fits & ((d >= 0) & (d <= 9)).all(axis=0)
           & (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
           & (month == m) & (year >= 1) & (dom >= 1)
           & (dom <= _DAYS_BEFORE[m] - _DAYS_BEFORE[m - 1] + (leap & (m == 2)))
@@ -398,7 +415,7 @@ def _timestamp_columns(stamps: Sequence[str]) -> tuple[np.ndarray, np.ndarray, n
     tod = np.where(ok, ((hour * 60 + minute) * 60 + second) * 1_000_000, 0)
     for i in np.flatnonzero(~ok).tolist():
         try:
-            parsed = parse_timestamp(stamps[i])
+            parsed = parse_timestamp(text(i))
         except ValueError:
             continue
         ok[i] = True
@@ -448,58 +465,234 @@ def _address_lists(fields: Sequence[str], index: dict[str, int]) -> tuple[np.nda
     return counts, codes[np.repeat((np.cumsum(lengths) - lengths)[which], counts) + offsets]
 
 
-class _BatchParser:
-    """Turns batches of one log's CSV rows into event tables."""
+# The byte tokenizer.  It reads a log _CHUNK_BYTES at a time and parses whole
+# batches of _BATCH_ROWS lines, so that one tokenizer parses each batch; the
+# lines of a batch that is not yet whole wait for the next read.  Its numpy
+# temporaries take several times the bytes it parses at once: reads of
+# 1 MiB raised the peak RSS of a `cap` pipeline by 6 MB, and 256 KiB reads
+# parse as fast.
+_CHUNK_BYTES = 1 << 18
+# The ASCII bytes str.strip() removes; \n and \r never occur inside a line
+# the tokenizer parses.
+_SPACE = np.zeros(256, bool)
+_SPACE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
+# Fields of up to this many 8-byte words are grouped as rows of words, each
+# padded to the longest; longer ones one at a time in a dict, so that one
+# long value cannot pad every row of a column.
+_KEY_WORDS = 8
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # folds the words of a field into one key
+# The low k bytes of a word, for k from 0 to 8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+_STAMP_AT = np.arange(0, 19, 8)  # the words of a timestamp
 
-    def __init__(self, kind: str, positions: list[int]) -> None:
+
+def _runs(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of a sorted 2-D array starts."""
+    new = np.ones(len(ordered), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return new
+
+
+def _same_text(buf: bytes, words: np.ndarray, lo: np.ndarray, hi: np.ndarray
+               ) -> tuple[np.ndarray, list[str]]:
+    """Group the fields ``buf[lo[i]:hi[i]]`` on their bytes: the group of
+    each, equal fields in one group, and the text of each group, decoded
+    and stripped once.
+
+    ``words[p]`` is the 8 bytes of ``buf`` from ``p`` on, as a
+    little-endian integer.  A field becomes a row of such words, with the
+    bytes past its end zeroed; a tokenized line holds no NUL byte, so that
+    cannot make two fields equal.  The rows are sorted on one key folded
+    from their words, and should two different rows share a key, on all
+    their words instead.
+    """
+    lengths = hi - lo
+    group = np.empty(len(lo), np.int64)
+    rows = np.flatnonzero(lengths <= 8 * _KEY_WORDS)
+    at = 8 * np.arange(max(1, -(-int(lengths[rows].max(initial=0)) // 8)))
+    row = words[lo[rows, None] + at] & _LOW_BYTES[np.clip(lengths[rows, None] - at, 0, 8)]
+    key = row[:, 0]
+    for column in row.T[1:]:
+        key = key * _MIX + column
+    order = np.argsort(key)
+    new = _runs(row[order])
+    if row.shape[1] > 1 and np.count_nonzero(new) != np.count_nonzero(_runs(key[order, None])):
+        order = np.lexsort(row.T[::-1])
+        new = _runs(row[order])
+    group[rows[order]] = np.cumsum(new) - 1
+    member = rows[order[new]].tolist()
+    wide: dict[bytes, int] = {}
+    for i in np.flatnonzero(lengths > 8 * _KEY_WORDS).tolist():
+        text = buf[lo[i]:hi[i]]
+        if text not in wide:
+            wide[text] = len(member)
+            member.append(i)
+        group[i] = wide[text]
+    return group, [buf[a:b].decode("ascii").strip()
+                   for a, b in zip(lo[member].tolist(), hi[member].tolist())]
+
+
+def _codes(group: np.ndarray, strings: Sequence[str], index: dict[str, int],
+           rank: np.ndarray | None = None) -> np.ndarray:
+    """The code in ``index`` of each occurrence, ``group[i]`` naming its
+    string in ``strings``.  The strings ``index`` lacks join it in order of
+    their first occurrence, or of their least ``rank`` when given."""
+    if rank is None:
+        rank = np.arange(len(group))
+    first = np.full(len(strings), np.iinfo(np.int64).max)
+    np.minimum.at(first, group, rank)
+    seen = np.flatnonzero(first < np.iinfo(np.int64).max)
+    code = np.zeros(len(strings), np.int32)
+    for g in seen[np.argsort(first[seen])].tolist():
+        code[g] = index.setdefault(strings[g], len(index))
+    return code[group]
+
+
+def _integer_fields(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` of each field's stripped text (0 where int() refuses it), and
+    where it accepts.  Runs of up to 18 ASCII digits are read in numpy and
+    int() reads the rest; the values are int64, or Python ints in an object
+    array when one does not fit."""
+    lengths = hi - lo
+    width = max(1, min(int(lengths.max(initial=0)), 18))
+    at = np.arange(width)
+    digits = np.take(arr, hi[:, None] - width + at, mode="clip").astype(np.int64) - ord("0")
+    inside = at >= width - lengths[:, None]
+    run = ((lengths > 0) & (lengths <= 18)
+           & np.where(inside, (digits >= 0) & (digits <= 9), True).all(axis=1))
+    values = np.where(inside & run[:, None], digits, 0) @ 10 ** np.arange(width - 1, -1, -1)
+    parsed = {}
+    for i in np.flatnonzero(~run).tolist():
+        try:
+            parsed[i] = int(buf[lo[i]:hi[i]].decode("ascii").strip())
+        except ValueError:
+            pass
+    if parsed:
+        run[list(parsed)] = True
+        try:
+            values[list(parsed)] = list(parsed.values())
+        except OverflowError:
+            values = values.astype(object)
+            values[list(parsed)] = list(parsed.values())
+    return values, run
+
+
+# The columns a parser appends to, with their types.
+_COLUMN_TYPES = {"id_length": np.int64, "user": np.int32, "day": np.int32, "tod": np.int64,
+                 "kind": np.int8, "pc": np.int32, "sender": np.int32,
+                 "recipient_count": np.int64, "recipients": np.int32, "size": np.int64,
+                 "attachments": np.int64, "filename": np.int32}
+
+
+class _LogParser:
+    """Turns the rows of one log into the columns of its valid events, and
+    records every other non-empty row in a RejectReport.
+
+    Rows come as ``csv.reader`` rows, a batch of _BATCH_ROWS at a time
+    (:meth:`csv_rows`), or as lines of bytes, whole batches at a time
+    (:meth:`byte_lines`); either way the strings of each field join one
+    index for the whole file, so :meth:`table` only joins the columns.
+    Users, machines and file names are numbered in order of first
+    appearance among the valid rows; addresses too, a batch at a time,
+    with the recipients of a batch before its senders.
+    """
+
+    def __init__(self, kind: str, header: Sequence[str], source: str,
+                 rejects: RejectReport) -> None:
         self.kind = kind
+        self.positions = _header_positions(header, kind)
+        self.width = max(self.positions) + 1
         self.kind_of = {activity.lower(): _KIND_CODE[k]
                         for k, activity in LOG_LAYOUTS[kind].activities.items()}
-        self.fields = [operator.itemgetter(p) for p in positions]
-        self.width = max(positions) + 1
+        self.source, self.rejects = source, rejects
+        self.users: dict[str, int] = {}
+        self.pcs: dict[str, int] = {}
+        self.addresses: dict[str, int] = {}
+        self.filenames: dict[str, int] = {}
+        self.ids: list[str] = []
+        self.columns: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_TYPES}
 
-    def parse(self, batch: list[tuple[int, list[str]]]
-              ) -> tuple[EventTable | None, list[tuple[int, str, str]]]:
-        """The table of the rows of a batch of (line number, row) pairs
-        that hold a valid event, and (line, reason, class) for each other
-        non-empty row, in line order."""
-        width = self.width
-        rejected = []
-        lines, rows = zip(*batch) if batch else ((), ())
-        if rows and min(map(len, rows)) < width:
-            rejected = [(line, f"expected at least {width} fields, got {len(row)}", "short row")
-                        for line, row in batch if 0 < len(row) < width]
-            kept = [(line, row) for line, row in batch if len(row) >= width]
-            lines, rows = zip(*kept) if kept else ((), ())
-        if not rows:
-            return None, rejected
-        # the required columns, in LOG_LAYOUTS order
-        event_id, stamp, user, pc, *rest = (list(map(str.strip, map(get, rows)))
-                                            for get in self.fields)
-        day, tod, timed = _timestamp_columns(stamp)
-        named = np.fromiter(map(bool, user), bool, len(user))
-        rest, valid, why = self.check(rest)
+    def add(self, ids: str, **columns: np.ndarray) -> None:
+        """Append the valid rows of a batch: their ids as one string, and
+        their columns."""
+        self.ids.append(ids)
+        for name, values in columns.items():
+            self.columns[name].append(values)
+
+    def table(self) -> EventTable:
+        """The events of every row added."""
+        column = {name: np.concatenate(parts) if parts else np.empty(0, _COLUMN_TYPES[name])
+                  for name, parts in self.columns.items()}
+        id_ptr = np.zeros(len(column["user"]) + 1, np.int64)
+        np.cumsum(column["id_length"], out=id_ptr[1:])
+        recipient_ptr = np.zeros(len(column["recipient_count"]) + 1, np.int64)
+        np.cumsum(column["recipient_count"], out=recipient_ptr[1:])
+        return EventTable(
+            "".join(self.ids), id_ptr, column["user"], list(self.users), column["day"],
+            column["tod"], column["kind"], column["pc"], list(self.pcs), column["sender"],
+            recipient_ptr, column["recipients"], list(self.addresses), column["size"],
+            column["attachments"], column["filename"], list(self.filenames))
+
+    def short(self, rows: Iterable[tuple[int, int]]) -> list[tuple[int, str, str]]:
+        """The (line, reason, class) of rows, (line, fields) pairs, with too
+        few fields."""
+        return [(line, f"expected at least {self.width} fields, got {n}", "short row")
+                for line, n in rows]
+
+    def reject(self, rejected: Iterable[tuple[int, str, str]]) -> None:
+        for line, reason, cls in sorted(rejected):
+            self.rejects.add(self.source, line, reason, cls)
+
+    def checked(self, rejected: list[tuple[int, str, str]], lines: Sequence[int],
+                timed: np.ndarray, named: np.ndarray, valid: np.ndarray,
+                why: Callable[[int], tuple[str, str]], stamp: Callable[[int], str]) -> np.ndarray:
+        """Which rows have a valid timestamp, a user and pass the log's own
+        check (``why(i)`` gives the reason and class a row fails it with).
+        The other rows are rejected, with those already in ``rejected``."""
         keep = timed & named & valid
         for i in np.flatnonzero(~keep).tolist():
             if not timed[i]:
-                rejected.append((lines[i], f"bad timestamp {stamp[i]!r}", "bad timestamp"))
+                rejected.append((lines[i], f"bad timestamp {stamp(i)!r}", "bad timestamp"))
             elif not named[i]:
                 rejected.append((lines[i], "empty user", "empty user"))
             else:
                 rejected.append((lines[i], *why(i)))
-        rejected.sort()
+        self.reject(rejected)
+        return keep
+
+    def csv_rows(self, batch: list[tuple[int, list[str]]]) -> None:
+        """Parse a batch of (line number, row) pairs from ``csv.reader``."""
+        width = self.width
+        rejected = []
+        lines, rows = zip(*batch) if batch else ((), ())
+        if rows and min(map(len, rows)) < width:
+            rejected = self.short((line, len(row)) for line, row in batch
+                                  if 0 < len(row) < width)
+            kept = [(line, row) for line, row in batch if len(row) >= width]
+            lines, rows = zip(*kept) if kept else ((), ())
+        if not rows:
+            return self.reject(rejected)
+        # the required columns, in LOG_LAYOUTS order
+        event_id, stamp, user, pc, *rest = (list(map(str.strip, map(operator.itemgetter(p), rows)))
+                                            for p in self.positions)
+        lengths = np.fromiter(map(len, stamp), np.int64, len(stamp))
+        # strings longer than 19 are cut here, but their length rules them out
+        chars = np.array(stamp, dtype="U19").view(np.uint32).reshape(len(stamp), 19)
+        day, tod, timed = _timestamp_columns(chars, lengths == 19, stamp.__getitem__)
+        named = np.fromiter(map(bool, user), bool, len(user))
+        rest, valid, why = self.check(rest)
+        keep = self.checked(rejected, lines, timed, named, valid, why, stamp.__getitem__)
         if not keep.all():
             kept = np.flatnonzero(keep).tolist()
             if not kept:
-                return None, rejected
+                return
             event_id, user, pc, *rest = ([column[i] for i in kept]
                                          for column in (event_id, user, pc, *rest))
             day, tod = day[keep], tod[keep]
-        users: dict[str, int] = {}
-        pcs: dict[str, int] = {}
-        table = EventTable(*_joined(event_id), _intern(user, users), list(users), day, tod,
-                           pc=_intern(pc, pcs), pcs=list(pcs), **self.payload(rest))
-        return table, rejected
+        self.add("".join(event_id), id_length=np.fromiter(map(len, event_id), np.int64),
+                 user=_intern(user, self.users), day=day, tod=tod,
+                 pc=_intern(pc, self.pcs), **self.payload(rest))
 
     def check(self, rest: list[list[str]]):
         """The columns after id, date, user and pc with activities as kind
@@ -520,9 +713,8 @@ class _BatchParser:
         return (rest, np.fromiter(map(bool, filename), bool, len(filename)),
                 lambda i: ("empty filename", "empty filename"))
 
-    def payload(self, rest: list[list]) -> dict[str, object]:
-        """The kind and payload columns of checked, accepted rows, as
-        EventTable fields."""
+    def payload(self, rest: list[list]) -> dict[str, np.ndarray]:
+        """The kind and payload columns of checked, accepted rows."""
         if self.kind_of:
             return {"kind": np.array(rest[0], np.int8)}
         n = len(rest[0])
@@ -530,15 +722,236 @@ class _BatchParser:
             to, cc, bcc, sender, size, attachments = rest
             fields: list[str] = [""] * (3 * n)
             fields[0::3], fields[1::3], fields[2::3] = to, cc, bcc
-            addresses: dict[str, int] = {}
-            counts, recipients = _address_lists(fields, addresses)
-            return {"kind": np.full(n, EMAIL, np.int8), "sender": _intern(sender, addresses),
-                    "recipient_ptr": np.concatenate(([0], np.cumsum(counts))),
-                    "recipients": recipients, "addresses": list(addresses),
+            counts, recipients = _address_lists(fields, self.addresses)
+            return {"kind": np.full(n, EMAIL, np.int8), "sender": _intern(sender, self.addresses),
+                    "recipient_count": counts, "recipients": recipients,
                     "size": _int_array(size), "attachments": _int_array(attachments)}
-        filenames: dict[str, int] = {}
         return {"kind": np.full(n, FILE_COPY, np.int8),
-                "filename": _intern(rest[0], filenames), "filenames": list(filenames)}
+                "filename": _intern(rest[0], self.filenames)}
+
+    def byte_lines(self, buf: bytes, line: int) -> None:
+        """Parse ``buf``, whole lines of ASCII text, each ended by ``\\n`` or
+        ``\\r\\n``, that hold no quote, bare ``\\r`` or NUL; the first is line
+        ``line + 1`` of the file.  Each line is one row, split at its commas,
+        as ``csv.reader`` splits it."""
+        arr = np.frombuffer(buf, np.uint8)
+        # the 8 bytes from each position on, with zeros past the end; a
+        # field's words start at most 8 * (_KEY_WORDS - 1) bytes into it
+        words = np.ndarray((len(buf) + 8 * _KEY_WORDS,), "<u8", buf + bytes(8 * _KEY_WORDS + 7),
+                           strides=(1,))
+        ends = np.flatnonzero(arr == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        stops = ends - (arr[np.maximum(ends - 1, 0)] == 13)  # a \r only comes before a \n
+        commas = np.flatnonzero(arr == 44)
+        first_comma = np.searchsorted(commas, starts)
+        fields = np.where(stops > starts, np.searchsorted(commas, stops) - first_comma + 1, 0)
+        number = line + 1 + np.arange(len(ends))
+        short = (fields > 0) & (fields < self.width)
+        rejected = self.short(zip(number[short].tolist(), fields[short].tolist()))
+        rows = np.flatnonzero(fields >= self.width)
+        if not len(rows):
+            return self.reject(rejected)
+        number, first_comma, last = number[rows], first_comma[rows], fields[rows] - 1
+
+        def field(p: int) -> tuple[np.ndarray, np.ndarray]:
+            lo = starts[rows] if p == 0 else commas[first_comma + p - 1] + 1
+            hi = np.where(p < last, commas[np.minimum(first_comma + p, len(commas) - 1)],
+                          stops[rows])
+            return lo, hi
+
+        def text(lo: np.ndarray, hi: np.ndarray, i: int) -> str:
+            return buf[lo[i]:hi[i]].decode("ascii").strip()
+
+        # the required columns, in LOG_LAYOUTS order
+        (id_lo, id_hi), (lo, hi), users, pcs, *rest = map(field, self.positions)
+        fits = hi - lo == 19
+        chars = words[np.where(fits, lo, 0)[:, None] + _STAMP_AT].view(np.uint8)[:, :19]
+        day, tod, timed = _timestamp_columns(chars, fits, lambda i: text(lo, hi, i))
+        user, user_strings = _same_text(buf, words, *users)
+        named = np.array(list(map(bool, user_strings)), bool)[user]
+        if self.kind_of:
+            activity, strings = _same_text(buf, words, *rest[0])
+            kind = np.array([self.kind_of.get(s.lower(), -1) for s in strings], np.int8)[activity]
+            valid = kind >= 0
+            why = lambda i: (f"unknown activity {strings[activity[i]]!r}", "unknown activity")
+        elif self.kind == "email":
+            (size, sized), (attachments, counted) = (_integer_fields(buf, arr, *f)
+                                                     for f in rest[4:])
+            valid = sized & counted
+            why = lambda i: ("non-integer size or attachments", "non-integer size")
+        else:
+            filename, strings = _same_text(buf, words, *rest[0])
+            valid = np.array(list(map(bool, strings)), bool)[filename]
+            why = lambda i: ("empty filename", "empty filename")
+        keep = self.checked(rejected, number.tolist(), timed, named, valid, why,
+                            lambda i: text(lo, hi, i))
+        kept = np.flatnonzero(keep)
+        if not len(kept):
+            return
+        columns = {"user": _codes(user[kept], user_strings, self.users),
+                   "day": day[kept], "tod": tod[kept],
+                   "pc": _codes(*_same_text(buf, words, pcs[0][kept], pcs[1][kept]), self.pcs)}
+        if self.kind_of:
+            columns["kind"] = kind[kept]
+        elif self.kind == "email":
+            boxes = [(start[kept], stop[kept]) for start, stop in rest[:4]]
+            batch = (number[kept] - 1) // _BATCH_ROWS
+            columns.update(self.byte_addresses(buf, arr, words, boxes, batch),
+                           kind=np.full(len(kept), EMAIL, np.int8),
+                           size=_int_array(size[kept]),
+                           attachments=_int_array(attachments[kept]))
+        else:
+            columns.update(kind=np.full(len(kept), FILE_COPY, np.int8),
+                           filename=_codes(filename[kept], strings, self.filenames))
+        ids, columns["id_length"] = _byte_ids(buf, arr, id_lo[kept], id_hi[kept])
+        self.add(ids, **columns)
+
+    def byte_addresses(self, buf: bytes, arr: np.ndarray, words: np.ndarray,
+                       boxes: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
+                       ) -> dict[str, np.ndarray]:
+        """The address columns of valid emails, from the byte ranges of their
+        to, cc, bcc and from fields and the batch each email is in.
+
+        A to, cc or bcc field splits at its semicolons into addresses, and
+        an address that strips to nothing is dropped; the sender is the
+        whole from field.  Each distinct address is decoded once.
+        """
+        (to, cc, bcc, sender), emails = boxes, len(batch)
+        lo = np.stack([to[0], cc[0], bcc[0]], axis=1).ravel()  # email by email
+        hi = np.stack([to[1], cc[1], bcc[1]], axis=1).ravel()
+        # the addresses of the boxes that hold any, between semicolons; the
+        # semicolon positions are closed by one past every field
+        box = np.flatnonzero(hi > lo)
+        semis = np.append(np.flatnonzero(arr == 59), len(arr) + 1)
+        first = np.searchsorted(semis, lo[box])
+        tokens = np.searchsorted(semis, hi[box]) - first + 1
+        box, first, last = (np.repeat(column, tokens) for column in (box, first, first + tokens))
+        after = first + np.arange(len(box)) - np.repeat(np.cumsum(tokens) - tokens, tokens)
+        start = np.where(after == first, lo[box], np.take(semis, after - 1) + 1)
+        stop = np.where(after == last - 1, hi[box], semis[after])
+        full = np.flatnonzero(stop > start)  # empty addresses go here, blank ones below
+        box = box[full]
+        address, strings = _same_text(buf, words, np.concatenate([start[full], sender[0]]),
+                                      np.concatenate([stop[full], sender[1]]))
+        recipient, sender_of = address[:len(box)], address[len(box):]
+        named = np.flatnonzero(np.array(list(map(bool, strings)), bool)[recipient])
+        # a batch's recipients, email by email, come before its senders
+        slot = len(box) + emails
+        rank = np.concatenate([batch[box[named] // 3] * 2 * slot + named,
+                               (batch * 2 + 1) * slot + np.arange(emails)])
+        codes = _codes(np.concatenate([recipient[named], sender_of]), strings, self.addresses,
+                       rank)
+        return {"sender": codes[len(named):],
+                "recipient_count": np.bincount(box[named], minlength=len(lo)),
+                "recipients": codes[:len(named)]}
+
+
+def _byte_ids(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray
+              ) -> tuple[str, np.ndarray]:
+    """The stripped fields ``buf[lo[i]:hi[i]]`` as one string, and the length
+    of each."""
+    padded = np.flatnonzero((hi > lo) & (_SPACE[np.take(arr, lo, mode="clip")]
+                                         | _SPACE[np.take(arr, hi - 1, mode="clip")]))
+    if len(padded):
+        lo, hi = lo.copy(), hi.copy()
+        for i in padded.tolist():
+            raw = buf[lo[i]:hi[i]].decode("ascii")
+            lo[i] += len(raw) - len(raw.lstrip())
+            hi[i] = lo[i] + len(raw.strip())
+    lengths = hi - lo
+    ends = np.cumsum(lengths)
+    at = np.repeat(lo - (ends - lengths), lengths) + np.arange(ends[-1])
+    return arr[at].tobytes().decode("ascii"), lengths
+
+
+def _csv_lines(buf: bytes, arr: np.ndarray, ends: np.ndarray) -> int:
+    """How many of the lines ending at ``ends`` come before the first that
+    ``csv.reader`` must read: one that holds a quote, a bare ``\\r``, NUL or
+    a non-ASCII byte, or that is longer than ``csv.field_size_limit()``."""
+    size = int(ends[-1]) + 1
+    text, part = buf[:size], arr[:size]
+    found = len(ends)
+    crlf = np.count_nonzero(arr[np.maximum(ends - 1, 0)] == 13)
+    if b'"' in text or b"\0" in text or not text.isascii() or np.count_nonzero(part == 13) != crlf:
+        at = np.flatnonzero((part == 34) | (part == 0) | (part >= 128) | (part == 13))
+        at = at[(part[at] != 13) | (arr[at + 1] != 10)]
+        found = int(np.searchsorted(ends, at[0])) if len(at) else found
+    long = np.flatnonzero(np.diff(ends[:found], prepend=-1) - 1 > csv.field_size_limit())
+    return int(long[0]) if len(long) else found
+
+
+def _tokenize(fh, kind: str, source: str, rejects: RejectReport
+              ) -> tuple[_LogParser | None, int, int | None]:
+    """Parse the binary file ``fh`` with the byte tokenizer, up to the first
+    batch of _BATCH_ROWS lines that holds a line ``csv.reader`` must read.
+
+    Returns the parser (None when no header was parsed), the lines parsed,
+    and the byte offset where ``csv.reader`` must go on, or None when the
+    tokenizer parsed the whole file.
+    """
+    parser, line, offset, buf = None, 0, 0, b""
+    while True:
+        more = fh.read(_CHUNK_BYTES)
+        buf += more
+        if not more and buf and not buf.endswith(b"\n"):
+            buf += b"\n"  # csv.reader reads a last line without its end the same way
+        arr = np.frombuffer(buf, np.uint8)
+        ends = np.flatnonzero(arr == 10)
+        # whole batches of lines, or every line once the file is read
+        n = (line + len(ends)) // _BATCH_ROWS * _BATCH_ROWS - line if more else len(ends)
+        if not n:
+            if more:
+                continue
+            return parser, line, None
+        clean = _csv_lines(buf, arr, ends[:n])
+        handover = clean < n
+        if handover:  # csv.reader takes the rest from the start of that line's batch
+            n = (line + clean) // _BATCH_ROWS * _BATCH_ROWS - line
+        size = int(ends[n - 1]) + 1 if n else 0
+        if n and not line:
+            header = buf[:ends[0]].rstrip(b"\r").decode("ascii")
+            parser = _LogParser(kind, header.split(",") if header else [], source, rejects)
+            if n > 1:
+                parser.byte_lines(buf[ends[0] + 1:size], 1)
+        elif n:
+            parser.byte_lines(buf[:size], line)
+        line, offset, buf = line + n, offset + size, buf[size:]
+        if handover:
+            return parser, line, offset
+
+
+def _csv_log(lines: Iterable[str], kind: str, source: str, rejects: RejectReport,
+             line: int = 0, parser: _LogParser | None = None) -> _LogParser:
+    """Parse ``lines`` with ``csv.reader``, the first being line ``line + 1``
+    of ``source``; without a parser, the first row is the header."""
+    batches = _csv_batches(lines, source, line)
+    if parser is None:
+        first = next(batches, None)
+        if first is None:
+            raise SchemaError(f"{source}: empty file, expected a {kind} header")
+        (_, header), *rows = first
+        parser = _LogParser(kind, header, source, rejects)
+        parser.csv_rows(rows)
+    for batch in batches:
+        parser.csv_rows(batch)
+    return parser
+
+
+def _utf8_error(path: Path, offset: int, line: int) -> str:
+    """Where and why the text of ``path`` after byte ``offset``, which ends
+    line ``line``, is not UTF-8: ``<file>:<line>: <reason>``."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        for raw in fh:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = raw[:exc.start]  # a bare \r ends a line too
+                line += 1 + before.count(b"\r") - before.count(b"\r\n")
+                return (f"{path.name}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 "
+                        f"({exc.reason})")
+            line += 1 + raw.count(b"\r") - raw.count(b"\r\n")
+    return f"{path.name}: not UTF-8"
 
 
 def parse_log_file(
@@ -555,22 +968,7 @@ def parse_log_file(
     does not carry the expected columns raises :class:`SchemaError`.
     """
     _layout(kind)
-    if rejects is None:
-        rejects = RejectReport()
-    batches = _csv_batches(lines, source)
-    first = next(batches, None)
-    if first is None:
-        raise SchemaError(f"{source}: empty file, expected a {kind} header")
-    (_, raw_header), *first = first
-    parser = _BatchParser(kind, _header_positions(raw_header, kind))
-    tables = []
-    for batch in itertools.chain([first], batches):
-        table, rejected = parser.parse(batch)
-        for line, reason, cls in rejected:
-            rejects.add(source, line, reason, cls)
-        if table is not None:
-            tables.append(table)
-    return EventTable.concat(tables)
+    return _csv_log(lines, kind, source, RejectReport() if rejects is None else rejects).table()
 
 
 def read_log_csv(
@@ -579,9 +977,30 @@ def read_log_csv(
     *,
     rejects: RejectReport | None = None,
 ) -> EventTable:
+    """Parse one activity log file, read as UTF-8: the table and rejects
+    :func:`parse_log_file` gives for its lines.
+
+    The byte tokenizer parses the file up to the first batch of _BATCH_ROWS
+    lines that holds a quote, a bare ``\\r``, NUL, a non-ASCII byte or a
+    line longer than ``csv.field_size_limit()``; ``csv.reader`` parses the
+    rest, from the start of that batch, since a quoted field can span lines.
+    Bytes that are not UTF-8 raise ValueError naming the file and line.
+    """
+    _layout(kind)
     path = Path(path)
-    with open(path, newline="") as fh:
-        return parse_log_file(fh, kind, source=path.name, rejects=rejects)
+    rejects = RejectReport() if rejects is None else rejects
+    with open(path, "rb") as fh:
+        parser, line, offset = _tokenize(fh, kind, path.name, rejects)
+        if offset is not None:
+            fh.seek(offset)
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+                try:
+                    parser = _csv_log(text, kind, path.name, rejects, line, parser)
+                except UnicodeDecodeError:
+                    raise ValueError(_utf8_error(path, offset, line)) from None
+    if parser is None:
+        raise SchemaError(f"{path.name}: empty file, expected a {kind} header")
+    return parser.table()
 
 
 def _decode(codes: np.ndarray, strings: Sequence[str]) -> list[str]:

@@ -360,14 +360,18 @@ def generate_logs(
         )
     directory = OrgDirectory(users=users)
 
-    def peers_of(i: int) -> list[int]:
+    def peers_of(i: int) -> list[int] | None:
+        """The other members of i's planted group; None for a user in none,
+        whose peers are all other users."""
         if i in group_of:
             members = planted[group_of[i]].members
         elif i in outlier_hosts:
             members = planted[outlier_hosts[i]].members
         else:
-            return [j for j in range(n) if j != i]
+            return None
         return [m for m in members if m != i]
+
+    peers = [peers_of(i) for i in range(n)]
 
     # Each log's events as drawn, one list per column: the second since
     # start_date's midnight, the user's index and the event kind's code.
@@ -409,12 +413,14 @@ def generate_logs(
                     ext = FILE_TYPES[int(rng.integers(len(FILE_TYPES)))]
                     filename.append(f"doc{int(rng.integers(1000)):03d}.{ext}")
                     log(files, midnight + int(t * 3600), i, FILE_COPY)
-                peers = peers_of(i)
+                mine = peers[i]
+                count = n - 1 if mine is None else len(mine)
                 for _ in range(prof.emails):
                     t = 9.0 + float(rng.random()) * 7.0
-                    k = min(len(peers), 1 + int(rng.integers(2)))
-                    chosen = sorted(int(x) for x in rng.choice(len(peers), size=k, replace=False))
-                    to.append(tuple(peers[j] for j in chosen))
+                    k = min(count, 1 + int(rng.integers(2)))
+                    chosen = sorted(int(x) for x in rng.choice(count, size=k, replace=False))
+                    # the j-th of all other users skips user i
+                    to.append(tuple(j + (j >= i) if mine is None else mine[j] for j in chosen))
                     size.append(int(rng.integers(1000, 60000)))
                     attachments.append(int(rng.integers(0, 3)))
                     log(emails, midnight + int(t * 3600), i, EMAIL)

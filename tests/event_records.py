@@ -5,22 +5,27 @@ state their input event by event, or check a parse field by field, use the
 records here: :func:`table_of` builds the table of a list of
 :class:`LogEvent`s, and :func:`events_of` reads a table back as LogEvents.
 :func:`assert_payload_layout` checks that each payload column of a table
-holds one entry per row of its kind.
+holds one entry per row of its kind.  :func:`reference_log` parses the text
+of a log one row at a time with ``csv`` and ``strptime``, as the oracle of
+the columnar parsers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from typing import Iterable
 
 import numpy as np
 
-from insiderank.ingest import (EMAIL, EVENT_KINDS, FILE_COPY, EventTable, _int_array, _joined,
-                               _microseconds)
+from insiderank.ingest import (EMAIL, EVENT_KINDS, FILE_COPY, LOG_LAYOUTS, TIMESTAMP_FORMAT,
+                               EventTable, _int_array, _joined, _microseconds)
 
-__all__ = ["EmailPayload", "FilePayload", "LogEvent", "assert_payload_layout", "events_of",
-           "table_of"]
+__all__ = ["EmailPayload", "FilePayload", "LogEvent", "ReferenceLog", "assert_payload_layout",
+           "events_of", "reference_log", "table_of"]
 
 
 @dataclass(frozen=True)
@@ -127,3 +132,92 @@ def assert_payload_layout(table: EventTable) -> None:
     assert len(table.recipient_ptr) == 3 * emails + 1
     assert table.recipient_ptr[-1] == len(table.recipients)
     assert len(table.filename) == int((table.kind == FILE_COPY).sum())
+
+
+@dataclass
+class ReferenceLog:
+    """What parsing one log must give: the events of its valid rows in
+    order, (line, reason, class) for each other non-empty row, and each
+    string table of the event table in its order."""
+
+    events: list[LogEvent]
+    rejected: list[tuple[int, str, str]]
+    strings: dict[str, list[str]]
+
+
+def reference_log(text: str, kind: str, batch_rows: int) -> ReferenceLog:
+    """Parse the text of a ``kind`` log row by row: ``csv.reader`` over its
+    lines (ended by ``\\n``, ``\\r\\n`` or ``\\r``), stripped fields and
+    ``datetime.strptime``.
+
+    Users, machines and file names are numbered in order of first
+    appearance among the valid rows.  Addresses are too, a batch of
+    ``batch_rows`` rows (the header is row 0) at a time, with the
+    recipients of a batch, email by email, before its senders.  Text that is
+    not CSV raises ``csv.Error``, and a header without the log's columns
+    ``KeyError``.
+    """
+    layout = LOG_LAYOUTS[kind]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = [(reader.line_num, row) for row in reader]
+    names = {name.strip().lower(): i for i, name in enumerate(rows[0][1])}
+    columns = [names[name] for name in layout.required]
+    width = max(columns) + 1
+    activities = {activity.lower(): k for k, activity in layout.activities.items()}
+    valid: list[tuple[int, LogEvent]] = []  # with each event's row number
+    rejected = []
+    for number, (line, row) in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) < width:
+            rejected.append((line, f"expected at least {width} fields, got {len(row)}",
+                             "short row"))
+            continue
+        event_id, stamp, user, pc, *rest = (row[i].strip() for i in columns)
+        try:
+            timestamp = datetime.strptime(stamp, TIMESTAMP_FORMAT)
+        except ValueError:
+            rejected.append((line, f"bad timestamp {stamp!r}", "bad timestamp"))
+            continue
+        if not user:
+            rejected.append((line, "empty user", "empty user"))
+            continue
+        payload: EmailPayload | FilePayload | None = None
+        if activities:
+            (activity,) = rest
+            if activity.lower() not in activities:
+                rejected.append((line, f"unknown activity {activity!r}", "unknown activity"))
+                continue
+            event_kind = activities[activity.lower()]
+        elif kind == "email":
+            to, cc, bcc, sender, size, attachments = rest
+            try:
+                size, attachments = int(size), int(attachments)
+            except ValueError:
+                rejected.append((line, "non-integer size or attachments", "non-integer size"))
+                continue
+            boxes = [tuple(a for a in map(str.strip, box.split(";")) if a)
+                     for box in (to, cc, bcc)]
+            payload, event_kind = EmailPayload(sender, *boxes, size, attachments), "email"
+        else:
+            (filename,) = rest
+            if not filename:
+                rejected.append((line, "empty filename", "empty filename"))
+                continue
+            payload, event_kind = FilePayload(filename), "file_copy"
+        valid.append((number, LogEvent(event_id, timestamp, user, pc, event_kind, payload)))
+
+    events = [event for _, event in valid]
+    emails = [(number, event.payload) for number, event in valid if event.kind == "email"]
+    addresses = []
+    for _, batch in itertools.groupby(emails, lambda pair: pair[0] // batch_rows):
+        batch = [payload for _, payload in batch]
+        addresses += [a for payload in batch for a in payload.recipients()]
+        addresses += [payload.sender for payload in batch]
+    return ReferenceLog(events, rejected, {
+        "users": list(dict.fromkeys(e.user for e in events)),
+        "pcs": list(dict.fromkeys(e.pc for e in events)),
+        "addresses": list(dict.fromkeys(addresses)),
+        "filenames": list(dict.fromkeys(e.payload.filename for e in events
+                                        if e.kind == "file_copy")),
+    })

@@ -653,9 +653,8 @@ def test_pipeline_holds_one_copy_of_the_events(tmp_path, messy_corpus, monkeypat
     monkeypatch.setattr(cli, "build_graph", counted_build)
     monkeypatch.setattr(cli, "stage_ingest", counted_ingest)
     run_pipeline(tmp_path, messy_corpus)
-    # parse_log_file joins the batches of one file; only ingest joins files
-    assert [call for call in joined if call[0] != "parse_log_file"] == \
-        [("_load_events", "stage_ingest", 4)]
+    # a parse builds one table per file, and only ingest joins files
+    assert joined == [("_load_events", "stage_ingest", 4)]
     [(events, _, _)] = ingested
     assert len(grouped) == 1 and len(grouped[0]) == 1 and grouped[0][0] is events
     assert len(graphed) == 1 and graphed[0] is events
@@ -683,6 +682,22 @@ def test_pipeline_matches_single_stages_byte_for_byte(tmp_path, messy_corpus):
     assert [row.split(",")[0] for row in graph_rejects[1:]] == \
         ["email.csv"] * 3 + ["<email-events>"]
     assert "M900003" in graph_rejects[-1] and "ghost@dtaa.com" in graph_rejects[-1]
+
+
+def test_a_log_that_is_not_utf8_is_a_one_line_error(tmp_path, corpus):
+    private = tmp_path / "corpus"
+    shutil.copytree(corpus, private)
+    lines = (private / "logon.csv").read_bytes().count(b"\n")
+    with open(private / "logon.csv", "ab") as fh:
+        fh.write(b"L900001,01/05/2010 08:00:00,U\xff,PC-0001,Logon\r\n")
+    config = write_config(tmp_path / "cfg.json", log_dir=str(private),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli("ingest", "--config", config)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: invalid inputs: logon.csv:{lines + 1}: byte 0xff is not UTF-8 "
+        "(invalid start byte)"]
 
 
 @pytest.mark.parametrize("rows", [

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 import re
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from insiderank import ingest
@@ -143,6 +146,17 @@ def test_events_plus_rejects_account_for_every_data_row():
     assert len(events) + len(rejects) == n_rows
 
 
+def _assert_same_table(table, expected):
+    """Every field of two event tables is equal, with equal types."""
+    for name, value in vars(expected).items():
+        other = getattr(table, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and np.array_equal(other, value), name
+            assert list(map(type, other.tolist())) == list(map(type, value.tolist())), name
+        else:
+            assert other == value, name
+
+
 def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
     # runs of rejects fill whole batches when they are small; events, code
     # tables, reject order and the written file must not depend on where
@@ -154,7 +168,8 @@ def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
         size = rng.choice(["10", "x", str(2**70)])
         user = rng.choice(["U1", "U2", ""]) if i % 50 > 20 else "U3"
         rcpt = rng.choice(["a@dtaa.com;b@x.org", "", " c@dtaa.com ;;a@dtaa.com"])
-        lines.append(f"e{i},{stamp},{user},PC-{i % 4},{rcpt},{rcpt[:5]},,u@dtaa.com,{size},1,")
+        sender = rng.choice(["u@dtaa.com", "b@x.org", f"s{i % 9}@dtaa.com"])
+        lines.append(f"e{i},{stamp},{user},PC-{i % 4},{rcpt},{rcpt[:5]},,{sender},{size},1,")
         if i % 37 == 0:
             lines.append(f"short{i},01/04/2010")
     whole_rejects = RejectReport()
@@ -170,6 +185,55 @@ def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
     monkeypatch.undo()
     write_log_file(tmp_path / "whole.csv", whole, "email")
     assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    # the byte tokenizer gives csv.reader's table and rejects, also when
+    # reads of a few bytes split rows and CRLF pairs, and when a quoted row
+    # hands the rest of the file to csv.reader
+    quoted = 'q1,01/04/2010 09:00:00,U9,PC-9,"a@dtaa.com,",,,n@dtaa.com,1,1,"two\r\nlines"'
+    path = tmp_path / "email.csv"
+    for rows in (lines, lines[:200] + [quoted] + lines[200:]):
+        text = "".join(row + "\r\n" for row in rows)
+        path.write_bytes(text.encode())
+        for batch_rows, chunk_bytes in ((ingest._BATCH_ROWS, ingest._CHUNK_BYTES), (7, 3)):
+            monkeypatch.setattr(ingest, "_BATCH_ROWS", batch_rows)
+            monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+            expected_rejects, rejects = RejectReport(), RejectReport()
+            expected = parse_log_file(io.StringIO(text, newline=""), "email", source=path.name,
+                                      rejects=expected_rejects)
+            _assert_same_table(read_log_csv(path, "email", rejects=rejects), expected)
+            assert rejects == expected_rejects
+            monkeypatch.undo()
+
+
+def test_a_log_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "logon.csv"
+    # a bare \r ends a line, and a quoted field can span two
+    path.write_bytes(b"id,date,user,pc,activity\r\n"
+                     b"x\rb,01/02/2010 08:00:00,U\xc3\xa9,PC-1,Logon\r\n"
+                     b'a,01/02/2010 08:00:00,U1,PC-1,"Log\r\non"\r\n'
+                     b"y\rc,01/02/2010 08:00:00,U\xff,PC-1,Logon\r\n")
+    with pytest.raises(ValueError, match=r"^logon\.csv:7: byte 0xff is not UTF-8 "
+                                         r"\(invalid start byte\)$"):
+        read_log_csv(path, "logon")
+
+
+def test_a_line_longer_than_the_field_size_limit_goes_to_csv_reader(tmp_path):
+    # every row is longer than the limit, and the last has a field longer
+    # than it too, which csv.reader refuses
+    rows = ["id,date,user,pc,filename,content",
+            "f1,01/02/2010 08:00:00,U1,PC-1,a.doc,",
+            "f2,01/02/2010 08:00:00,U1,PC-1,b.doc,0123456789abcdefghij",
+            "f3,01/02/2010 08:00:00,U1,PC-1,c.doc,0123456789abcdefghijk"]
+    path = tmp_path / "file.csv"
+    limit = csv.field_size_limit(20)
+    try:
+        path.write_text("".join(row + "\n" for row in rows[:3]))
+        assert events_of(read_log_csv(path, "file")) == events_of(parse_log_file(rows[:3], "file"))
+        path.write_text("".join(row + "\n" for row in rows))
+        with pytest.raises(ValueError, match=r"^file\.csv:4: field larger than field limit"):
+            read_log_csv(path, "file")
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_round_trip_parse_write_parse(tmp_path):

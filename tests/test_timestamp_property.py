@@ -1,7 +1,9 @@
 """The timestamp parsers against datetime.strptime, as properties:
 parse_timestamp, which is strptime with TIMESTAMP_FORMAT, and the column
 parser that decodes a log's zero-padded ASCII timestamps in one numpy pass
-and leaves every other string to parse_timestamp.
+and leaves every other string to parse_timestamp.  Each log is parsed from
+its text (csv.reader) and from its file (the byte tokenizer, which leaves a
+quoted or non-ASCII stamp to csv.reader); both must agree.
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from insiderank.ingest import TIMESTAMP_FORMAT, RejectReport, parse_log_file, parse_timestamp
+from insiderank.ingest import (TIMESTAMP_FORMAT, RejectReport, parse_log_file, parse_timestamp,
+                               read_log_csv)
 
 from event_records import events_of
 
@@ -114,13 +119,20 @@ def _parse_timestamp_outcome(text):
 
 
 def _logon_log(stamps):
-    """A logon log with one row per stamp, written as csv.writer quotes it."""
+    """A logon log with one row per stamp, written as csv.writer quotes it,
+    parsed from its text and from its file, which must agree."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["id", "date", "user", "pc", "activity"])
     writer.writerows([f"e{i}", stamp, "U1", "PC-1", "Logon"] for i, stamp in enumerate(stamps))
-    rejects = RejectReport()
-    table = parse_log_file(io.StringIO(buffer.getvalue(), newline=""), "logon", rejects=rejects)
+    rejects, read_rejects = RejectReport(), RejectReport()
+    table = parse_log_file(io.StringIO(buffer.getvalue(), newline=""), "logon",
+                           source="logon.csv", rejects=rejects)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "logon.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+        read = read_log_csv(path, "logon", rejects=read_rejects)
+    assert events_of(read) == events_of(table) and read_rejects == rejects
     return table, rejects
 
 
