@@ -14,19 +14,20 @@ addresses and file names interned into code tables.  :func:`write_log_file`
 writes a table back, formatting each distinct day once.
 
 :func:`read_log_csv` reads a log as UTF-8 and tokenizes it as bytes: it
-reads 256 KiB at a time, finds line ends (``\\n`` or ``\\r\\n``) and commas
-with vectorized compares, and decodes each field from its byte range.
-Timestamps become one matrix of character codes, decoded and range-checked
-together; the user, machine, activity, address and file-name fields are
-grouped on their bytes, so each distinct value is decoded and stripped
-once, into one code table per file; runs of digits become integers in
-numpy.  The first line that holds a quote, a bare ``\\r``, NUL or a
-non-ASCII byte, or that is longer than ``csv.field_size_limit()``, hands
-the rest of the file, from the start of that line's batch of rows, to
-``csv.reader``, since a quoted field can span lines.  :func:`parse_log_file`
-parses lines of text with ``csv.reader`` alone; both give the same table
-and rejects.  Any timestamp the vectorized pass refuses is left to
-:func:`parse_timestamp`.
+reads 256 KiB at a time and finds line ends (``\\n`` or ``\\r\\n``) and
+commas with vectorized compares.  The first line that holds a quote, a bare
+``\\r``, NUL or a non-ASCII byte, or that is longer than
+``csv.field_size_limit()``, hands the rest of the file, from the start of
+that line's batch of rows, to ``csv.reader``, since a quoted field can span
+lines.  :func:`parse_log_file` parses lines of text with ``csv.reader``
+alone.  The required fields of ``csv.reader`` rows are joined into one
+UTF-8 buffer, so one field pass reads every field from its byte range,
+whichever tokenizer split it, and both give the same table and rejects.
+That pass decodes and range-checks timestamps together as one matrix of
+bytes, leaving any it refuses to :func:`parse_timestamp`; groups the user,
+machine, activity, address and file-name fields on their bytes, so each
+distinct value is decoded and stripped once, into one code table per file;
+and reads runs of digits as integers in numpy.
 
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
@@ -40,8 +41,9 @@ LDAP-style directory snapshots (one CSV per month) are merged into an
 
 Every CSV file but the activity logs, that is the directory snapshots and
 the artifacts of every stage, is written by :func:`write_table` and read by
-:func:`read_table`: a header row, floats as their ``repr``, blank lines
-skipped on reading, and every reading error named by file and line.
+:func:`read_table`: UTF-8 text, a header row, floats as their ``repr``,
+blank lines skipped on reading, and every reading error named by file and
+line.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable
     """Write a CSV artifact: the header row, then ``rows``.  ``csv`` writes
     each cell with ``str``, which is ``repr`` for a Python float, so floats
     go in as Python floats (``ndarray.tolist()`` gives those)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -333,17 +335,17 @@ def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable
 
 def read_table(path: str | Path, header: Sequence[str] | Callable[[list[str]], object],
                convert: Callable[[list[str]], object]) -> tuple[list[str], list]:
-    """The header row of a CSV artifact, and ``convert(row)`` for each later
-    row that is not blank.
+    """The header row of a CSV artifact, read as UTF-8, and ``convert(row)``
+    for each later row that is not blank.
 
     ``header`` is the exact header the file must start with, or a function
     that raises ValueError when the header it is given (``[]`` for an empty
     file) is wrong.  A refused header raises SchemaError; a row whose width
     is not the header's, or that ``convert`` refuses with ValueError, raises
-    ValueError, and so does text that is not valid CSV.  Each message reads
-    ``<path>:<line>: <reason>``.
+    ValueError, and so does text that is not valid CSV or not UTF-8.  Each
+    message reads ``<path>:<line>: <reason>``.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         error: type[ValueError] = SchemaError  # until the header is accepted
         try:
@@ -359,6 +361,8 @@ def read_table(path: str | Path, header: Sequence[str] | Callable[[list[str]], o
                         continue
                     raise ValueError(f"expected {len(names)} fields, got {len(row)}")
                 rows.append(convert(row))
+        except UnicodeDecodeError:  # text is decoded ahead of the rows read
+            raise ValueError(f"{path}:{_utf8_error(Path(path))}") from None
         except (csv.Error, ValueError) as exc:
             raise error(f"{path}:{max(reader.line_num, 1)}: {exc}") from None
     return names, rows
@@ -391,8 +395,8 @@ def _timestamp_columns(chars: np.ndarray, fits: np.ndarray, text: Callable[[int]
     """Day ordinal, microseconds since midnight, and whether the stamp is a
     valid timestamp, for each stamp.
 
-    ``chars`` holds the character codes of each stamp, one row of 19, and
-    ``fits`` says which stamps are exactly 19 characters long; ``text(i)``
+    ``chars`` holds the UTF-8 bytes of each stamp, one row of 19, and
+    ``fits`` says which stamps are exactly 19 bytes long; ``text(i)``
     is stamp ``i`` with its whitespace stripped.  Zero-padded ASCII stamps
     are decoded and range-checked together; :func:`parse_timestamp` decides
     every stamp that pass does not accept, so the valid stamps and their
@@ -432,37 +436,9 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, object)
 
 
-def _integers(values: Sequence[str]) -> tuple[list[int], np.ndarray]:
-    """``int(v)`` for each value (0 where int() refuses it), and where it accepts."""
-    try:
-        return list(map(int, values)), np.ones(len(values), bool)
-    except ValueError:
-        pass
-    parsed, ok = [], []
-    for value in values:
-        try:
-            parsed.append(int(value))
-            ok.append(True)
-        except ValueError:
-            parsed.append(0)
-            ok.append(False)
-    return parsed, np.array(ok, bool)
-
-
-def _address_lists(fields: Sequence[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``;``-separated addresses of each field, in CSR form: how many
-    each field has, and their codes in ``index`` (which gains new ones).
-    Each distinct field is split once."""
-    distinct = {f: i for i, f in enumerate(dict.fromkeys(fields))}
-    lists = [[index.setdefault(a, len(index)) for a in map(str.strip, f.split(";")) if a]
-             for f in distinct]
-    lengths = np.array([len(codes) for codes in lists], np.int64)
-    codes = np.fromiter(itertools.chain.from_iterable(lists), np.int32, int(lengths.sum()))
-    which = np.fromiter(map(distinct.__getitem__, fields), np.int64, len(fields))
-    counts = lengths[which]
-    ends = np.cumsum(counts)
-    offsets = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
-    return counts, codes[np.repeat((np.cumsum(lengths) - lengths)[which], counts) + offsets]
+def _text(raw: bytes) -> str:
+    """A field's UTF-8 bytes as stripped text."""
+    return raw.decode("utf-8", "surrogatepass").strip()
 
 
 # The byte tokenizer.  It reads a log _CHUNK_BYTES at a time and parses whole
@@ -470,19 +446,18 @@ def _address_lists(fields: Sequence[str], index: dict[str, int]) -> tuple[np.nda
 # lines of a batch that is not yet whole wait for the next read.  Its numpy
 # temporaries take several times the bytes it parses at once: reads of
 # 1 MiB raised the peak RSS of a `cap` pipeline by 6 MB, and 256 KiB reads
-# parse as fast.
+# parse as fast.  csv.reader rows are parsed in groups of about as many bytes.
 _CHUNK_BYTES = 1 << 18
-# The ASCII bytes str.strip() removes; \n and \r never occur inside a line
-# the tokenizer parses.
+# The ASCII bytes str.strip() removes.
 _SPACE = np.zeros(256, bool)
-_SPACE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 # Fields of up to this many 8-byte words are grouped as rows of words, each
 # padded to the longest; longer ones one at a time in a dict, so that one
 # long value cannot pad every row of a column.
 _KEY_WORDS = 8
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # folds the words of a field into one key
-# The low k bytes of a word, for k from 0 to 8.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# A word with every byte past its low k set, for k from 0 to 8.
+_PAST_BYTES = np.array([(1 << 64) - (1 << 8 * k) for k in range(9)], np.uint64)
 _STAMP_AT = np.arange(0, 19, 8)  # the words of a timestamp
 
 
@@ -497,20 +472,20 @@ def _same_text(buf: bytes, words: np.ndarray, lo: np.ndarray, hi: np.ndarray
                ) -> tuple[np.ndarray, list[str]]:
     """Group the fields ``buf[lo[i]:hi[i]]`` on their bytes: the group of
     each, equal fields in one group, and the text of each group, decoded
-    and stripped once.
+    from UTF-8 and stripped once.
 
     ``words[p]`` is the 8 bytes of ``buf`` from ``p`` on, as a
     little-endian integer.  A field becomes a row of such words, with the
-    bytes past its end zeroed; a tokenized line holds no NUL byte, so that
-    cannot make two fields equal.  The rows are sorted on one key folded
-    from their words, and should two different rows share a key, on all
-    their words instead.
+    bytes past its end set to 0xFF; UTF-8 never holds that byte, so no two
+    different fields make the same row.  The rows are sorted on one key
+    folded from their words, and should two different rows share a key, on
+    all their words instead.
     """
     lengths = hi - lo
     group = np.empty(len(lo), np.int64)
     rows = np.flatnonzero(lengths <= 8 * _KEY_WORDS)
     at = 8 * np.arange(max(1, -(-int(lengths[rows].max(initial=0)) // 8)))
-    row = words[lo[rows, None] + at] & _LOW_BYTES[np.clip(lengths[rows, None] - at, 0, 8)]
+    row = words[lo[rows, None] + at] | _PAST_BYTES[np.clip(lengths[rows, None] - at, 0, 8)]
     key = row[:, 0]
     for column in row.T[1:]:
         key = key * _MIX + column
@@ -528,8 +503,7 @@ def _same_text(buf: bytes, words: np.ndarray, lo: np.ndarray, hi: np.ndarray
             wide[text] = len(member)
             member.append(i)
         group[i] = wide[text]
-    return group, [buf[a:b].decode("ascii").strip()
-                   for a, b in zip(lo[member].tolist(), hi[member].tolist())]
+    return group, [_text(buf[a:b]) for a, b in zip(lo[member].tolist(), hi[member].tolist())]
 
 
 def _codes(group: np.ndarray, strings: Sequence[str], index: dict[str, int],
@@ -565,7 +539,7 @@ def _integer_fields(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray
     parsed = {}
     for i in np.flatnonzero(~run).tolist():
         try:
-            parsed[i] = int(buf[lo[i]:hi[i]].decode("ascii").strip())
+            parsed[i] = int(_text(buf[lo[i]:hi[i]]))
         except ValueError:
             pass
     if parsed:
@@ -589,13 +563,15 @@ class _LogParser:
     """Turns the rows of one log into the columns of its valid events, and
     records every other non-empty row in a RejectReport.
 
-    Rows come as ``csv.reader`` rows, a batch of _BATCH_ROWS at a time
-    (:meth:`csv_rows`), or as lines of bytes, whole batches at a time
-    (:meth:`byte_lines`); either way the strings of each field join one
-    index for the whole file, so :meth:`table` only joins the columns.
-    Users, machines and file names are numbered in order of first
-    appearance among the valid rows; addresses too, a batch at a time,
-    with the recipients of a batch before its senders.
+    Two tokenizers only split rows into fields: :meth:`byte_lines` splits
+    lines of bytes at their commas, and :meth:`csv_rows` joins the fields of
+    ``csv.reader`` rows into one UTF-8 buffer.  Either way one field pass,
+    :meth:`fields`, reads every field from its byte range, and the strings
+    of each field join one index for the whole file, so :meth:`table` only
+    joins the columns.  Users, machines and file names are numbered in order
+    of first appearance among the valid rows; addresses too, a batch of
+    _BATCH_ROWS rows at a time, with the recipients of a batch before its
+    senders.
     """
 
     def __init__(self, kind: str, header: Sequence[str], source: str,
@@ -612,13 +588,6 @@ class _LogParser:
         self.filenames: dict[str, int] = {}
         self.ids: list[str] = []
         self.columns: dict[str, list[np.ndarray]] = {name: [] for name in _COLUMN_TYPES}
-
-    def add(self, ids: str, **columns: np.ndarray) -> None:
-        """Append the valid rows of a batch: their ids as one string, and
-        their columns."""
-        self.ids.append(ids)
-        for name, values in columns.items():
-            self.columns[name].append(values)
 
     def table(self) -> EventTable:
         """The events of every row added."""
@@ -644,101 +613,50 @@ class _LogParser:
         for line, reason, cls in sorted(rejected):
             self.rejects.add(self.source, line, reason, cls)
 
-    def checked(self, rejected: list[tuple[int, str, str]], lines: Sequence[int],
-                timed: np.ndarray, named: np.ndarray, valid: np.ndarray,
-                why: Callable[[int], tuple[str, str]], stamp: Callable[[int], str]) -> np.ndarray:
-        """Which rows have a valid timestamp, a user and pass the log's own
-        check (``why(i)`` gives the reason and class a row fails it with).
-        The other rows are rejected, with those already in ``rejected``."""
-        keep = timed & named & valid
-        for i in np.flatnonzero(~keep).tolist():
-            if not timed[i]:
-                rejected.append((lines[i], f"bad timestamp {stamp(i)!r}", "bad timestamp"))
-            elif not named[i]:
-                rejected.append((lines[i], "empty user", "empty user"))
-            else:
-                rejected.append((lines[i], *why(i)))
-        self.reject(rejected)
-        return keep
+    def csv_rows(self, batches: Iterable[list[tuple[int, list[str]]]]) -> None:
+        """Parse batches of (line number, row) pairs from ``csv.reader``.
 
-    def csv_rows(self, batch: list[tuple[int, list[str]]]) -> None:
-        """Parse a batch of (line number, row) pairs from ``csv.reader``."""
-        width = self.width
-        rejected = []
-        lines, rows = zip(*batch) if batch else ((), ())
-        if rows and min(map(len, rows)) < width:
-            rejected = self.short((line, len(row)) for line, row in batch
-                                  if 0 < len(row) < width)
-            kept = [(line, row) for line, row in batch if len(row) >= width]
-            lines, rows = zip(*kept) if kept else ((), ())
-        if not rows:
-            return self.reject(rejected)
-        # the required columns, in LOG_LAYOUTS order
-        event_id, stamp, user, pc, *rest = (list(map(str.strip, map(operator.itemgetter(p), rows)))
-                                            for p in self.positions)
-        lengths = np.fromiter(map(len, stamp), np.int64, len(stamp))
-        # strings longer than 19 are cut here, but their length rules them out
-        chars = np.array(stamp, dtype="U19").view(np.uint32).reshape(len(stamp), 19)
-        day, tod, timed = _timestamp_columns(chars, lengths == 19, stamp.__getitem__)
-        named = np.fromiter(map(bool, user), bool, len(user))
-        rest, valid, why = self.check(rest)
-        keep = self.checked(rejected, lines, timed, named, valid, why, stamp.__getitem__)
-        if not keep.all():
-            kept = np.flatnonzero(keep).tolist()
-            if not kept:
+        The required cells of each row join one UTF-8 buffer, whole batches
+        at a time until it holds about _CHUNK_BYTES, and :meth:`fields`
+        parses each cell from its byte range.
+        """
+        take, width = operator.itemgetter(*self.positions), self.width
+        texts: list[str] = []  # the joined cells of each batch
+        sizes: list[np.ndarray] = []  # and the UTF-8 length of each cell
+        lines: list[int] = []
+        batch_of: list[int] = []
+        rejected: list[tuple[int, str, str]] = []
+        for b, batch in enumerate(itertools.chain(batches, [None])):  # None ends the last group
+            if batch is None or sum(map(len, texts)) >= _CHUNK_BYTES:
+                if texts:
+                    size = np.concatenate(sizes).reshape(len(lines), len(self.positions))
+                    hi = np.cumsum(size).reshape(size.shape)
+                    lo = hi - size
+                    self.fields("".join(texts).encode("utf-8", "surrogatepass"),
+                                list(zip(lo.T, hi.T)), np.array(lines), np.array(batch_of),
+                                rejected)
+                texts, sizes, lines, batch_of, rejected = [], [], [], [], []
+            if batch is None:
                 return
-            event_id, user, pc, *rest = ([column[i] for i in kept]
-                                         for column in (event_id, user, pc, *rest))
-            day, tod = day[keep], tod[keep]
-        self.add("".join(event_id), id_length=np.fromiter(map(len, event_id), np.int64),
-                 user=_intern(user, self.users), day=day, tod=tod,
-                 pc=_intern(pc, self.pcs), **self.payload(rest))
-
-    def check(self, rest: list[list[str]]):
-        """The columns after id, date, user and pc with activities as kind
-        codes and sizes as integers; which rows they allow; and the reject
-        reason and class of a row they refuse."""
-        if self.kind_of:
-            (activity,) = rest
-            codes = {a: self.kind_of.get(a.lower(), -1) for a in dict.fromkeys(activity)}
-            kind = list(map(codes.__getitem__, activity))
-            return ([kind], np.array(kind) >= 0,
-                    lambda i: (f"unknown activity {activity[i]!r}", "unknown activity"))
-        if self.kind == "email":
-            *addresses, size, attachments = rest
-            (size, sized), (attachments, counted) = _integers(size), _integers(attachments)
-            return ([*addresses, size, attachments], sized & counted,
-                    lambda i: ("non-integer size or attachments", "non-integer size"))
-        (filename,) = rest
-        return (rest, np.fromiter(map(bool, filename), bool, len(filename)),
-                lambda i: ("empty filename", "empty filename"))
-
-    def payload(self, rest: list[list]) -> dict[str, np.ndarray]:
-        """The kind and payload columns of checked, accepted rows."""
-        if self.kind_of:
-            return {"kind": np.array(rest[0], np.int8)}
-        n = len(rest[0])
-        if self.kind == "email":
-            to, cc, bcc, sender, size, attachments = rest
-            fields: list[str] = [""] * (3 * n)
-            fields[0::3], fields[1::3], fields[2::3] = to, cc, bcc
-            counts, recipients = _address_lists(fields, self.addresses)
-            return {"kind": np.full(n, EMAIL, np.int8), "sender": _intern(sender, self.addresses),
-                    "recipient_count": counts, "recipients": recipients,
-                    "size": _int_array(size), "attachments": _int_array(attachments)}
-        return {"kind": np.full(n, FILE_COPY, np.int8),
-                "filename": _intern(rest[0], self.filenames)}
+            rows = [(line, row) for line, row in batch if len(row) >= width]
+            if len(rows) < len(batch):
+                rejected += self.short((line, len(row)) for line, row in batch
+                                       if 0 < len(row) < width)
+            cells = list(itertools.chain.from_iterable(take(row) for _, row in rows))
+            texts.append("".join(cells))
+            sizes.append(np.fromiter(
+                map(len, cells) if texts[-1].isascii()
+                else (len(c.encode("utf-8", "surrogatepass")) for c in cells),
+                np.int64, len(cells)))
+            lines += [line for line, _ in rows]
+            batch_of += [b] * len(rows)
 
     def byte_lines(self, buf: bytes, line: int) -> None:
         """Parse ``buf``, whole lines of ASCII text, each ended by ``\\n`` or
         ``\\r\\n``, that hold no quote, bare ``\\r`` or NUL; the first is line
         ``line + 1`` of the file.  Each line is one row, split at its commas,
-        as ``csv.reader`` splits it."""
+        as ``csv.reader`` splits it, and :meth:`fields` parses the fields."""
         arr = np.frombuffer(buf, np.uint8)
-        # the 8 bytes from each position on, with zeros past the end; a
-        # field's words start at most 8 * (_KEY_WORDS - 1) bytes into it
-        words = np.ndarray((len(buf) + 8 * _KEY_WORDS,), "<u8", buf + bytes(8 * _KEY_WORDS + 7),
-                           strides=(1,))
         ends = np.flatnonzero(arr == 10)
         starts = np.concatenate(([0], ends[:-1] + 1))
         stops = ends - (arr[np.maximum(ends - 1, 0)] == 13)  # a \r only comes before a \n
@@ -749,8 +667,6 @@ class _LogParser:
         short = (fields > 0) & (fields < self.width)
         rejected = self.short(zip(number[short].tolist(), fields[short].tolist()))
         rows = np.flatnonzero(fields >= self.width)
-        if not len(rows):
-            return self.reject(rejected)
         number, first_comma, last = number[rows], first_comma[rows], fields[rows] - 1
 
         def field(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -759,14 +675,28 @@ class _LogParser:
                           stops[rows])
             return lo, hi
 
-        def text(lo: np.ndarray, hi: np.ndarray, i: int) -> str:
-            return buf[lo[i]:hi[i]].decode("ascii").strip()
+        self.fields(buf, list(map(field, self.positions)), number, (number - 1) // _BATCH_ROWS,
+                    rejected)
 
-        # the required columns, in LOG_LAYOUTS order
-        (id_lo, id_hi), (lo, hi), users, pcs, *rest = map(field, self.positions)
+    def fields(self, buf: bytes, ranges: list[tuple[np.ndarray, np.ndarray]],
+               lines: np.ndarray, batches: np.ndarray,
+               rejected: list[tuple[int, str, str]]) -> None:
+        """Parse rows from the byte ranges of their fields in ``buf``, UTF-8
+        text: ``ranges`` holds the starts and stops of each required field,
+        in LOG_LAYOUTS order, and ``lines`` and ``batches`` the line number
+        and batch of each row.  The rows that fail are rejected, with those
+        already in ``rejected``."""
+        if not len(lines):
+            return self.reject(rejected)
+        arr = np.frombuffer(buf, np.uint8)
+        # the 8 bytes from each position on, with zeros past the end; a
+        # field's words start at most 8 * (_KEY_WORDS - 1) bytes into it
+        words = np.ndarray((len(buf) + 8 * _KEY_WORDS,), "<u8", buf + bytes(8 * _KEY_WORDS + 7),
+                           strides=(1,))
+        (id_lo, id_hi), (lo, hi), users, pcs, *rest = ranges
         fits = hi - lo == 19
         chars = words[np.where(fits, lo, 0)[:, None] + _STAMP_AT].view(np.uint8)[:, :19]
-        day, tod, timed = _timestamp_columns(chars, fits, lambda i: text(lo, hi, i))
+        day, tod, timed = _timestamp_columns(chars, fits, lambda i: _text(buf[lo[i]:hi[i]]))
         user, user_strings = _same_text(buf, words, *users)
         named = np.array(list(map(bool, user_strings)), bool)[user]
         if self.kind_of:
@@ -783,8 +713,19 @@ class _LogParser:
             filename, strings = _same_text(buf, words, *rest[0])
             valid = np.array(list(map(bool, strings)), bool)[filename]
             why = lambda i: ("empty filename", "empty filename")
-        keep = self.checked(rejected, number.tolist(), timed, named, valid, why,
-                            lambda i: text(lo, hi, i))
+        # a row is kept with a valid timestamp, a user, and what the log's
+        # own check allows; why(i) is the reason and class it refuses row i
+        keep = timed & named & valid
+        for i in np.flatnonzero(~keep).tolist():
+            line = int(lines[i])
+            if not timed[i]:
+                stamp = _text(buf[lo[i]:hi[i]])
+                rejected.append((line, f"bad timestamp {stamp!r}", "bad timestamp"))
+            elif not named[i]:
+                rejected.append((line, "empty user", "empty user"))
+            else:
+                rejected.append((line, *why(i)))
+        self.reject(rejected)
         kept = np.flatnonzero(keep)
         if not len(kept):
             return
@@ -795,8 +736,7 @@ class _LogParser:
             columns["kind"] = kind[kept]
         elif self.kind == "email":
             boxes = [(start[kept], stop[kept]) for start, stop in rest[:4]]
-            batch = (number[kept] - 1) // _BATCH_ROWS
-            columns.update(self.byte_addresses(buf, arr, words, boxes, batch),
+            columns.update(self.byte_addresses(buf, arr, words, boxes, batches[kept]),
                            kind=np.full(len(kept), EMAIL, np.int8),
                            size=_int_array(size[kept]),
                            attachments=_int_array(attachments[kept]))
@@ -804,7 +744,9 @@ class _LogParser:
             columns.update(kind=np.full(len(kept), FILE_COPY, np.int8),
                            filename=_codes(filename[kept], strings, self.filenames))
         ids, columns["id_length"] = _byte_ids(buf, arr, id_lo[kept], id_hi[kept])
-        self.add(ids, **columns)
+        self.ids.append(ids)
+        for name, values in columns.items():
+            self.columns[name].append(values)
 
     def byte_addresses(self, buf: bytes, arr: np.ndarray, words: np.ndarray,
                        boxes: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
@@ -849,7 +791,10 @@ class _LogParser:
 def _byte_ids(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray
               ) -> tuple[str, np.ndarray]:
     """The stripped fields ``buf[lo[i]:hi[i]]`` as one string, and the length
-    of each."""
+    of each in characters."""
+    if not buf.isascii():  # lengths in bytes are not lengths in characters
+        ids = [_text(buf[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+        return "".join(ids), np.fromiter(map(len, ids), np.int64, len(ids))
     padded = np.flatnonzero((hi > lo) & (_SPACE[np.take(arr, lo, mode="clip")]
                                          | _SPACE[np.take(arr, hi - 1, mode="clip")]))
     if len(padded):
@@ -924,22 +869,21 @@ def _csv_log(lines: Iterable[str], kind: str, source: str, rejects: RejectReport
              line: int = 0, parser: _LogParser | None = None) -> _LogParser:
     """Parse ``lines`` with ``csv.reader``, the first being line ``line + 1``
     of ``source``; without a parser, the first row is the header."""
-    batches = _csv_batches(lines, source, line)
+    batches: Iterable[list[tuple[int, list[str]]]] = _csv_batches(lines, source, line)
     if parser is None:
-        first = next(batches, None)
+        first = next(iter(batches), None)
         if first is None:
             raise SchemaError(f"{source}: empty file, expected a {kind} header")
         (_, header), *rows = first
         parser = _LogParser(kind, header, source, rejects)
-        parser.csv_rows(rows)
-    for batch in batches:
-        parser.csv_rows(batch)
+        batches = itertools.chain([rows], batches)
+    parser.csv_rows(batches)
     return parser
 
 
-def _utf8_error(path: Path, offset: int, line: int) -> str:
+def _utf8_error(path: Path, offset: int = 0, line: int = 0) -> str:
     """Where and why the text of ``path`` after byte ``offset``, which ends
-    line ``line``, is not UTF-8: ``<file>:<line>: <reason>``."""
+    line ``line``, is not UTF-8: ``<line>: <reason>``."""
     with open(path, "rb") as fh:
         fh.seek(offset)
         for raw in fh:
@@ -948,10 +892,9 @@ def _utf8_error(path: Path, offset: int, line: int) -> str:
             except UnicodeDecodeError as exc:
                 before = raw[:exc.start]  # a bare \r ends a line too
                 line += 1 + before.count(b"\r") - before.count(b"\r\n")
-                return (f"{path.name}:{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 "
-                        f"({exc.reason})")
+                return f"{line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
             line += 1 + raw.count(b"\r") - raw.count(b"\r\n")
-    return f"{path.name}: not UTF-8"
+    return f"{line}: not UTF-8"
 
 
 def parse_log_file(
@@ -997,7 +940,7 @@ def read_log_csv(
                 try:
                     parser = _csv_log(text, kind, path.name, rejects, line, parser)
                 except UnicodeDecodeError:
-                    raise ValueError(_utf8_error(path, offset, line)) from None
+                    raise ValueError(f"{path.name}:{_utf8_error(path, offset, line)}") from None
     if parser is None:
         raise SchemaError(f"{path.name}: empty file, expected a {kind} header")
     return parser.table()
@@ -1043,7 +986,7 @@ def _csv_fields(table: EventTable, kind: str, start: int, stop: int) -> Iterator
 
 
 def write_log_file(path: str | Path, table: EventTable, kind: str) -> None:
-    """Serialize a table to the canonical CSV layout for ``kind``.
+    """Serialize a table to the canonical CSV layout for ``kind``, as UTF-8.
 
     Inverse of :func:`parse_log_file` for valid rows; timestamps are written
     to the second, and the free-text content column (never parsed) is
@@ -1057,7 +1000,7 @@ def write_log_file(path: str | Path, table: EventTable, kind: str) -> None:
     if stray:
         names = sorted(EVENT_KINDS[k] for k in stray)
         raise ValueError(f"a {kind} log cannot hold {names} events")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(layout.columns)
         for start in range(0, len(table), _BATCH_ROWS):

@@ -700,6 +700,24 @@ def test_a_log_that_is_not_utf8_is_a_one_line_error(tmp_path, corpus):
         "(invalid start byte)"]
 
 
+def test_a_snapshot_that_is_not_utf8_is_a_one_line_error_naming_its_line(tmp_path, corpus):
+    # the bad byte lies inside the first block of text decoded, with the header
+    private = tmp_path / "corpus"
+    shutil.copytree(corpus, private)
+    snapshot = private / "ldap" / "2009-12.csv"
+    rows = snapshot.read_bytes().splitlines()
+    rows += [f"Extra {i},X{i:02d},x{i}@dtaa.com,r,u,d,t,".encode() for i in range(40 - len(rows))]
+    rows[30] = rows[30].replace(b",", b"\xff,", 1)
+    snapshot.write_bytes(b"".join(row + b"\r\n" for row in rows))
+    config = write_config(tmp_path / "cfg.json", log_dir=str(private),
+                          out_dir=str(tmp_path / "out"))
+    proc = run_cli("ingest", "--config", config)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: invalid inputs: {snapshot}:31: byte 0xff is not UTF-8 (invalid start byte)"]
+
+
 @pytest.mark.parametrize("rows", [
     [],
     ["L1,13/45/2010 08:00:00,U0001,PC-0001,Logon", "L2,01/05/2010 08:00:00,U0001,PC-0001,Dance"],

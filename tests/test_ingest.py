@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from insiderank.ingest import (
     load_ldap_snapshots,
     parse_log_file,
     read_log_csv,
+    read_table,
     write_directory_csv,
     write_log_file,
 )
@@ -215,6 +220,13 @@ def test_a_log_that_is_not_utf8_names_its_line(tmp_path):
     with pytest.raises(ValueError, match=r"^logon\.csv:7: byte 0xff is not UTF-8 "
                                          r"\(invalid start byte\)$"):
         read_log_csv(path, "logon")
+
+
+def test_lone_surrogates_in_text_lines_are_kept():
+    # text decoded with errors="surrogateescape" holds them
+    lines = ["id,date,user,pc,activity", "e\udcff,01/04/2010 09:00:00,U\udcff,PC-1,Logon"]
+    (event,) = events_of(parse_log_file(lines, "logon"))
+    assert (event.event_id, event.user) == ("e\udcff", "U\udcff")
 
 
 def test_a_line_longer_than_the_field_size_limit_goes_to_csv_reader(tmp_path):
@@ -468,3 +480,17 @@ def test_directory_csv_round_trip(tmp_path):
     path = tmp_path / "directory.csv"
     write_directory_csv(path, directory)
     assert load_directory_csv(path) == directory
+
+
+def test_csv_artifacts_are_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "users.csv"
+    script = ("import sys; from insiderank.ingest import read_table, write_table; "
+              "write_table(sys.argv[1], ['user'], [['\\u00dc3']]); "
+              "assert read_table(sys.argv[1], ['user'], list)[1] == [['\\u00dc3']]")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(ingest.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == "user\r\n\u00dc3\r\n".encode("utf-8")
+    assert read_table(path, ["user"], list)[1] == [["\u00dc3"]]

@@ -2,12 +2,13 @@
 
 Each generated log mixes rows the byte tokenizer parses with rows only
 ``csv.reader`` can: quoted fields (newlines inside them too), LF, CRLF and
-bare CR line ends, NUL and non-ASCII bytes, padded whitespace, blank lines,
-short rows and bad timestamps, sizes and activities.  The file is read
-with tiny read and batch sizes, so rows, CRLF pairs and the hand-over to
-``csv.reader`` fall across reads and batches.  The events, each reject's line,
-reason and class, and the order of every string table must be the
-reference's (:func:`event_records.reference_log`).
+bare CR line ends, NUL and non-ASCII bytes, padded whitespace (Unicode
+spaces and line ends too), blank lines, short rows and bad timestamps, sizes
+and activities.  The file is read with tiny read and batch sizes, so rows,
+CRLF pairs and the hand-over to ``csv.reader`` fall across reads and
+batches.  The events, each reject's line, reason and class, and the order
+of every string table must be the reference's
+(:func:`event_records.reference_log`).
 
 Needs hypothesis (the ``test`` extra); the module is skipped without it.
 """
@@ -49,15 +50,22 @@ CLEAN = {
 }
 CLEAN["cc"] = CLEAN["bcc"] = CLEAN["to"]
 CLEAN["attachments"] = CLEAN["size"]
-# Values that only csv.reader can take.
+# Values that only csv.reader can take: among them ids that end in a line
+# end, a NUL that alone tells a user apart, padding that only str.strip()
+# knows, and a digit int() and strptime() read that is not ASCII.
 DIRTY = {
-    "id": ["e,5"],
-    "user": ["Ü3"],
-    "pc": ["pc\x00"],
-    "to": ["é@x.com"],
-    "filename": ["c,d.doc", "d\ne.doc"],
+    "id": ["e,5", "é6", "e7\n", "\re8", "e9\u2003"],
+    "date": ["01/04/2010 09:00:0\u0663", "\u00a001/04/2010 09:00:00"],
+    "user": ["Ü3", "U1\x00", "\u00a0U2"],
+    "pc": ["pc\x00", "PC-1\u2003"],
+    "activity": ["Logon\u00a0", "Lögon"],
+    "to": ["é@x.com", "a@x.com\u00a0;\u2003"],
+    "from": ["\u2003b@x.com"],
+    "size": ["\u0663", "1\u0663\u00a0"],
+    "filename": ["c,d.doc", "d\ne.doc", "\u2003"],
     "content": ["multi\nline", 'say "hi"', "\r", "ß"],
 }
+DIRTY["attachments"] = DIRTY["size"]
 
 
 def _cell(draw, value: str, dirt: int) -> str:
