@@ -17,100 +17,42 @@ combined graph structure and behaviour profile deviates from their peers:
 7. `evaluation` turns scores plus ground truth into ROC curves and AUC.
 8. `synth` generates synthetic corpora with planted clusters and outliers.
 9. `cli` wires the stages into a command-line pipeline.
+
+Importing the package loads no submodule and so not numpy either: each name
+below is imported from its module the first time it is used (PEP 562).  The
+CLI relies on this to set OpenBLAS's environment before numpy starts.
 """
 
-from .centrality import (
-    CentralityTable,
-    NonConvergenceError,
-    betweenness_centrality,
-    compute_centralities,
-    degree_centrality,
-    eigenvector_centrality,
-)
-from .clustering import (
-    ClusterParams,
-    ClusteringResult,
-    OracleBoundExceeded,
-    TwofoldCluster,
-    enumerate_clusters_exact,
-    grasp_cluster,
-    max_subspace,
-    prune_redundant,
-    quality,
-    quasi_clique_gamma,
-)
-from .evaluation import GroundTruth, RocCurve, load_ground_truth, roc_auc, score_distribution
-from .features import (
-    ATTRIBUTE_NAMES,
-    AttributeVector,
-    CalendarConfig,
-    attribute_matrix,
-    extract_attributes,
-    group_by_user,
-    normalize_matrix,
-)
-from .graph import AttributedGraph, build_graph, degree_profile, load_graph
-from .ingest import (
-    EventTable,
-    OrgDirectory,
-    RejectReport,
-    UserRecord,
-    load_ldap_snapshots,
-    read_log_csv,
-)
-from .ranking import (
-    OutlierScoreTable,
-    compute_scores,
-    rank_users,
-)
-from .synth import SynthSpec, generate_attributed_graph, generate_logs
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTRIBUTE_NAMES",
-    "AttributeVector",
-    "AttributedGraph",
-    "CalendarConfig",
-    "CentralityTable",
-    "ClusterParams",
-    "ClusteringResult",
-    "EventTable",
-    "GroundTruth",
-    "NonConvergenceError",
-    "OracleBoundExceeded",
-    "OrgDirectory",
-    "OutlierScoreTable",
-    "RejectReport",
-    "RocCurve",
-    "SynthSpec",
-    "TwofoldCluster",
-    "UserRecord",
-    "attribute_matrix",
-    "betweenness_centrality",
-    "build_graph",
-    "compute_centralities",
-    "compute_scores",
-    "degree_centrality",
-    "degree_profile",
-    "eigenvector_centrality",
-    "enumerate_clusters_exact",
-    "extract_attributes",
-    "generate_attributed_graph",
-    "generate_logs",
-    "grasp_cluster",
-    "group_by_user",
-    "load_graph",
-    "load_ground_truth",
-    "load_ldap_snapshots",
-    "max_subspace",
-    "normalize_matrix",
-    "prune_redundant",
-    "quality",
-    "quasi_clique_gamma",
-    "rank_users",
-    "read_log_csv",
-    "roc_auc",
-    "score_distribution",
-    "__version__",
-]
+_MODULES = {
+    "centrality": ("CentralityTable NonConvergenceError betweenness_centrality "
+                   "compute_centralities degree_centrality eigenvector_centrality"),
+    "clustering": ("ClusterParams ClusteringResult OracleBoundExceeded TwofoldCluster "
+                   "enumerate_clusters_exact grasp_cluster max_subspace prune_redundant "
+                   "quality quasi_clique_gamma"),
+    "evaluation": "GroundTruth RocCurve load_ground_truth roc_auc score_distribution",
+    "features": ("ATTRIBUTE_NAMES AttributeVector CalendarConfig attribute_matrix "
+                 "extract_attributes group_by_user normalize_matrix"),
+    "graph": "AttributedGraph build_graph degree_profile load_graph",
+    "ingest": "EventTable OrgDirectory RejectReport UserRecord load_ldap_snapshots read_log_csv",
+    "ranking": "OutlierScoreTable compute_scores rank_users",
+    "synth": "SynthSpec generate_attributed_graph generate_logs",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

@@ -36,6 +36,12 @@ manifest (timings) varies between reruns.  Betweenness runs on numpy's BLAS,
 so a different BLAS thread count (e.g. OPENBLAS_NUM_THREADS) may change the
 last bits of centrality.csv, scores.csv and the score column of each
 ranking.<k>.csv, within 1e-12 relative.
+
+The CLI lets numpy's idle OpenBLAS worker threads sleep at once instead of
+spinning: it sets OPENBLAS_THREAD_TIMEOUT to 4 before numpy loads, unless the
+environment already sets it.  The BLAS thread count and every artifact stay
+the same; only CPU time falls.  Importing the insiderank library leaves the
+environment alone.
 """
 
 from __future__ import annotations
@@ -52,6 +58,17 @@ from dataclasses import fields as dataclass_fields
 from datetime import time as dtime
 from pathlib import Path
 from typing import Callable
+
+# OpenBLAS keeps an idle worker busy-waiting for 2**OPENBLAS_THREAD_TIMEOUT
+# cycles (default 28, about 0.1 s) at start-up and after every BLAS call,
+# while the pipeline itself runs on one thread.  On a 2-core host that spin
+# was about a quarter of the CPU time of the org1k benchmark's commands:
+# with 4, cluster took 0.80 -> 0.73 s, rank 0.95 -> 0.70 s and eval
+# 0.33 -> 0.20 s of CPU, at the same wall time.  4 is the shortest spin
+# OpenBLAS allows, and OpenBLAS reads the variable only when numpy loads it,
+# so this line precedes every numpy import.  The thread count stays, since
+# OPENBLAS_NUM_THREADS=1 made betweenness 0.24 -> 0.33 s.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 

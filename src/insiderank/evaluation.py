@@ -53,13 +53,13 @@ class GroundTruth:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """One user id per line; blank lines and duplicates are tolerated."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         users = {line.strip() for line in fh if line.strip()}
     return GroundTruth(frozenset(users))
 
 
 def write_ground_truth(path: str | Path, truth: GroundTruth) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for user in sorted(truth.users):
             fh.write(user + "\n")
 

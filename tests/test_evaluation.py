@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from insiderank import evaluation
 from insiderank.clustering import ClusterParams
 from insiderank.evaluation import (
     GroundTruth,
@@ -167,6 +172,21 @@ def test_ground_truth_file_roundtrip(tmp_path):
     write_ground_truth(out, truth)
     assert out.read_text() == "U0001\nU0002\nU0003\n"
     assert load_ground_truth(out).users == truth.users
+
+
+def test_ground_truth_is_utf8_in_any_locale(tmp_path):
+    path = tmp_path / "ground_truth.txt"
+    script = ("import sys; from insiderank.evaluation import GroundTruth, load_ground_truth, "
+              "write_ground_truth; truth = GroundTruth(frozenset({'\\u00dc3', 'U1'})); "
+              "write_ground_truth(sys.argv[1], truth); "
+              "assert load_ground_truth(sys.argv[1]) == truth")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == "U1\n\u00dc3\n".encode("utf-8")
+    assert load_ground_truth(path).users == {"U1", "\u00dc3"}
 
 
 def make_table(column):
