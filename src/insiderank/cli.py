@@ -212,9 +212,11 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
     cfg = dict(DEFAULTS)
     if path is not None:
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise StageError(f"invalid config: no such file: {path}")
+        except UnicodeDecodeError as exc:
+            raise StageError(f"invalid config: {path} is not UTF-8 ({exc})")
         except json.JSONDecodeError as exc:
             raise StageError(f"invalid config: {path} is not valid JSON ({exc})")
         if not isinstance(raw, dict):
@@ -231,6 +233,11 @@ def _load_config(path: str | None, overrides: dict[str, object]) -> dict[str, ob
     try:
         for key in DEFAULTS:
             cfg[key] = _typed(key, cfg[key])
+        # a power iteration that cannot converge is refused before any stage runs
+        if cfg["eigen_tol"] <= 0:
+            raise ValueError(f"eigen_tol must be positive, got {cfg['eigen_tol']}")
+        if cfg["eigen_max_iter"] < 1:
+            raise ValueError(f"eigen_max_iter must be at least 1, got {cfg['eigen_max_iter']}")
     except ValueError as exc:
         raise StageError(f"invalid config: {exc}")
     return cfg

@@ -14,20 +14,24 @@ addresses and file names interned into code tables.  :func:`write_log_file`
 writes a table back, formatting each distinct day once.
 
 :func:`read_log_csv` reads a log as UTF-8 and tokenizes it as bytes: it
-reads 256 KiB at a time and finds line ends (``\\n`` or ``\\r\\n``) and
-commas with vectorized compares.  The first line that holds a quote, a bare
-``\\r``, NUL or a non-ASCII byte, or that is longer than
-``csv.field_size_limit()``, hands the rest of the file, from the start of
-that line's batch of rows, to ``csv.reader``, since a quoted field can span
-lines.  :func:`parse_log_file` parses lines of text with ``csv.reader``
-alone.  The required fields of ``csv.reader`` rows are joined into one
-UTF-8 buffer, so one field pass reads every field from its byte range,
-whichever tokenizer split it, and both give the same table and rejects.
+reads 256 KiB at a time, checks that every whole line of a read is UTF-8,
+and finds line ends (``\\n``, ``\\r\\n`` or ``\\r``) and commas with
+vectorized compares.  The first line that holds a quote, or that is longer
+than ``csv.field_size_limit()``, hands the rest of the file, from the start
+of that line, to ``csv.reader``, since a quoted field can span lines.
+:func:`parse_log_file` parses lines of text with ``csv.reader`` alone.
+The required fields of ``csv.reader`` rows are joined into one UTF-8
+buffer, so one field pass reads every field from its byte range, whichever
+tokenizer split it, and both give the same table and rejects.
 That pass decodes and range-checks timestamps together as one matrix of
 bytes, leaving any it refuses to :func:`parse_timestamp`; groups the user,
 machine, activity, address and file-name fields on their bytes, so each
 distinct value is decoded and stripped once, into one code table per file;
-and reads runs of digits as integers in numpy.
+and reads runs of digits as integers in numpy.  Users, machines and file
+names are numbered in order of first appearance among the valid rows, and
+email addresses too, email by email, its to, cc and bcc recipients before
+its sender; so however a file is cut into reads and batches, the table is
+the same.
 
 Headers are matched by name, case-insensitively; column order does not
 matter and extra columns are ignored.  Timestamps are ``MM/DD/YYYY HH:MM:SS``.
@@ -94,9 +98,9 @@ EVENT_KINDS = (
 _KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 EMAIL, FILE_COPY = _KIND_CODE["email"], _KIND_CODE["file_copy"]
 
-# CSV rows turned into columns, or written from them, at a time: only one
-# batch of rows, with its free-text content fields, is held at once.  A
-# log's addresses are numbered a batch at a time (see _LogParser).
+# csv.reader rows gathered, or table rows written, at a time: only one batch
+# of rows, with its free-text content fields, is held at once.  It shapes no
+# result.
 _BATCH_ROWS = 1 << 10
 
 
@@ -441,12 +445,12 @@ def _text(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogatepass").strip()
 
 
-# The byte tokenizer.  It reads a log _CHUNK_BYTES at a time and parses whole
-# batches of _BATCH_ROWS lines, so that one tokenizer parses each batch; the
-# lines of a batch that is not yet whole wait for the next read.  Its numpy
-# temporaries take several times the bytes it parses at once: reads of
-# 1 MiB raised the peak RSS of a `cap` pipeline by 6 MB, and 256 KiB reads
-# parse as fast.  csv.reader rows are parsed in groups of about as many bytes.
+# The byte tokenizer.  It reads a log _CHUNK_BYTES at a time and parses every
+# whole line of each read; a line that is not yet whole waits for the next
+# read.  Its numpy temporaries take several times the bytes it parses at
+# once: reads of 1 MiB raised the peak RSS of a `cap` pipeline by 6 MB, and
+# 256 KiB reads parse as fast.  csv.reader rows are parsed in groups of about
+# as many bytes.  Neither size shapes a result.
 _CHUNK_BYTES = 1 << 18
 # The ASCII bytes str.strip() removes.
 _SPACE = np.zeros(256, bool)
@@ -569,9 +573,8 @@ class _LogParser:
     :meth:`fields`, reads every field from its byte range, and the strings
     of each field join one index for the whole file, so :meth:`table` only
     joins the columns.  Users, machines and file names are numbered in order
-    of first appearance among the valid rows; addresses too, a batch of
-    _BATCH_ROWS rows at a time, with the recipients of a batch before its
-    senders.
+    of first appearance among the valid rows; addresses too, email by email,
+    with the recipients of an email before its sender.
     """
 
     def __init__(self, kind: str, header: Sequence[str], source: str,
@@ -624,18 +627,16 @@ class _LogParser:
         texts: list[str] = []  # the joined cells of each batch
         sizes: list[np.ndarray] = []  # and the UTF-8 length of each cell
         lines: list[int] = []
-        batch_of: list[int] = []
         rejected: list[tuple[int, str, str]] = []
-        for b, batch in enumerate(itertools.chain(batches, [None])):  # None ends the last group
+        for batch in itertools.chain(batches, [None]):  # None ends the last group
             if batch is None or sum(map(len, texts)) >= _CHUNK_BYTES:
                 if texts:
                     size = np.concatenate(sizes).reshape(len(lines), len(self.positions))
                     hi = np.cumsum(size).reshape(size.shape)
                     lo = hi - size
                     self.fields("".join(texts).encode("utf-8", "surrogatepass"),
-                                list(zip(lo.T, hi.T)), np.array(lines), np.array(batch_of),
-                                rejected)
-                texts, sizes, lines, batch_of, rejected = [], [], [], [], []
+                                list(zip(lo.T, hi.T)), np.array(lines), rejected)
+                texts, sizes, lines, rejected = [], [], [], []
             if batch is None:
                 return
             rows = [(line, row) for line, row in batch if len(row) >= width]
@@ -649,21 +650,20 @@ class _LogParser:
                 else (len(c.encode("utf-8", "surrogatepass")) for c in cells),
                 np.int64, len(cells)))
             lines += [line for line, _ in rows]
-            batch_of += [b] * len(rows)
 
-    def byte_lines(self, buf: bytes, line: int) -> None:
-        """Parse ``buf``, whole lines of ASCII text, each ended by ``\\n`` or
-        ``\\r\\n``, that hold no quote, bare ``\\r`` or NUL; the first is line
-        ``line + 1`` of the file.  Each line is one row, split at its commas,
-        as ``csv.reader`` splits it, and :meth:`fields` parses the fields."""
+    def byte_lines(self, buf: bytes, bounds: np.ndarray, line: int) -> None:
+        """Parse lines of ``buf``, UTF-8 text that holds no quote: the ``i``-th
+        is line ``line + i`` of the file, and runs from the byte after
+        ``bounds[i]`` up to ``bounds[i + 1]``, the byte that ends it.  Each
+        line is one row, split at its commas, as ``csv.reader`` splits it,
+        and :meth:`fields` parses the fields."""
         arr = np.frombuffer(buf, np.uint8)
-        ends = np.flatnonzero(arr == 10)
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        stops = ends - (arr[np.maximum(ends - 1, 0)] == 13)  # a \r only comes before a \n
+        starts, ends = bounds[:-1] + 1, bounds[1:]
+        stops = ends - ((arr[ends] == 10) & (arr[np.maximum(ends - 1, 0)] == 13))
         commas = np.flatnonzero(arr == 44)
         first_comma = np.searchsorted(commas, starts)
         fields = np.where(stops > starts, np.searchsorted(commas, stops) - first_comma + 1, 0)
-        number = line + 1 + np.arange(len(ends))
+        number = line + np.arange(len(ends))
         short = (fields > 0) & (fields < self.width)
         rejected = self.short(zip(number[short].tolist(), fields[short].tolist()))
         rows = np.flatnonzero(fields >= self.width)
@@ -675,17 +675,15 @@ class _LogParser:
                           stops[rows])
             return lo, hi
 
-        self.fields(buf, list(map(field, self.positions)), number, (number - 1) // _BATCH_ROWS,
-                    rejected)
+        self.fields(buf, list(map(field, self.positions)), number, rejected)
 
     def fields(self, buf: bytes, ranges: list[tuple[np.ndarray, np.ndarray]],
-               lines: np.ndarray, batches: np.ndarray,
-               rejected: list[tuple[int, str, str]]) -> None:
+               lines: np.ndarray, rejected: list[tuple[int, str, str]]) -> None:
         """Parse rows from the byte ranges of their fields in ``buf``, UTF-8
         text: ``ranges`` holds the starts and stops of each required field,
-        in LOG_LAYOUTS order, and ``lines`` and ``batches`` the line number
-        and batch of each row.  The rows that fail are rejected, with those
-        already in ``rejected``."""
+        in LOG_LAYOUTS order, and ``lines`` the line number of each row.
+        The rows that fail are rejected, with those already in
+        ``rejected``."""
         if not len(lines):
             return self.reject(rejected)
         arr = np.frombuffer(buf, np.uint8)
@@ -736,7 +734,7 @@ class _LogParser:
             columns["kind"] = kind[kept]
         elif self.kind == "email":
             boxes = [(start[kept], stop[kept]) for start, stop in rest[:4]]
-            columns.update(self.byte_addresses(buf, arr, words, boxes, batches[kept]),
+            columns.update(self.byte_addresses(buf, arr, words, boxes),
                            kind=np.full(len(kept), EMAIL, np.int8),
                            size=_int_array(size[kept]),
                            attachments=_int_array(attachments[kept]))
@@ -749,16 +747,15 @@ class _LogParser:
             self.columns[name].append(values)
 
     def byte_addresses(self, buf: bytes, arr: np.ndarray, words: np.ndarray,
-                       boxes: list[tuple[np.ndarray, np.ndarray]], batch: np.ndarray
-                       ) -> dict[str, np.ndarray]:
+                       boxes: list[tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
         """The address columns of valid emails, from the byte ranges of their
-        to, cc, bcc and from fields and the batch each email is in.
+        to, cc, bcc and from fields.
 
         A to, cc or bcc field splits at its semicolons into addresses, and
         an address that strips to nothing is dropped; the sender is the
         whole from field.  Each distinct address is decoded once.
         """
-        (to, cc, bcc, sender), emails = boxes, len(batch)
+        (to, cc, bcc, sender), emails = boxes, len(boxes[3][0])
         lo = np.stack([to[0], cc[0], bcc[0]], axis=1).ravel()  # email by email
         hi = np.stack([to[1], cc[1], bcc[1]], axis=1).ravel()
         # the addresses of the boxes that hold any, between semicolons; the
@@ -777,14 +774,14 @@ class _LogParser:
                                       np.concatenate([stop[full], sender[1]]))
         recipient, sender_of = address[:len(box)], address[len(box):]
         named = np.flatnonzero(np.array(list(map(bool, strings)), bool)[recipient])
-        # a batch's recipients, email by email, come before its senders
-        slot = len(box) + emails
-        rank = np.concatenate([batch[box[named] // 3] * 2 * slot + named,
-                               (batch * 2 + 1) * slot + np.arange(emails)])
+        count = np.bincount(box[named], minlength=len(lo))
+        # email by email, its recipients and then its sender: the place of
+        # each address in that sequence
+        rank = np.concatenate([np.arange(len(named)) + box[named] // 3,
+                               np.cumsum(count.reshape(-1, 3).sum(axis=1)) + np.arange(emails)])
         codes = _codes(np.concatenate([recipient[named], sender_of]), strings, self.addresses,
                        rank)
-        return {"sender": codes[len(named):],
-                "recipient_count": np.bincount(box[named], minlength=len(lo)),
+        return {"sender": codes[len(named):], "recipient_count": count,
                 "recipients": codes[:len(named)]}
 
 
@@ -809,26 +806,11 @@ def _byte_ids(buf: bytes, arr: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return arr[at].tobytes().decode("ascii"), lengths
 
 
-def _csv_lines(buf: bytes, arr: np.ndarray, ends: np.ndarray) -> int:
-    """How many of the lines ending at ``ends`` come before the first that
-    ``csv.reader`` must read: one that holds a quote, a bare ``\\r``, NUL or
-    a non-ASCII byte, or that is longer than ``csv.field_size_limit()``."""
-    size = int(ends[-1]) + 1
-    text, part = buf[:size], arr[:size]
-    found = len(ends)
-    crlf = np.count_nonzero(arr[np.maximum(ends - 1, 0)] == 13)
-    if b'"' in text or b"\0" in text or not text.isascii() or np.count_nonzero(part == 13) != crlf:
-        at = np.flatnonzero((part == 34) | (part == 0) | (part >= 128) | (part == 13))
-        at = at[(part[at] != 13) | (arr[at + 1] != 10)]
-        found = int(np.searchsorted(ends, at[0])) if len(at) else found
-    long = np.flatnonzero(np.diff(ends[:found], prepend=-1) - 1 > csv.field_size_limit())
-    return int(long[0]) if len(long) else found
-
-
 def _tokenize(fh, kind: str, source: str, rejects: RejectReport
               ) -> tuple[_LogParser | None, int, int | None]:
-    """Parse the binary file ``fh`` with the byte tokenizer, up to the first
-    batch of _BATCH_ROWS lines that holds a line ``csv.reader`` must read.
+    """Parse the binary file ``fh`` with the byte tokenizer, up to its first
+    line that holds a quote or is longer than ``csv.field_size_limit()``.
+    The bytes parsed must be UTF-8, or UnicodeDecodeError is raised.
 
     Returns the parser (None when no header was parsed), the lines parsed,
     and the byte offset where ``csv.reader`` must go on, or None when the
@@ -838,31 +820,39 @@ def _tokenize(fh, kind: str, source: str, rejects: RejectReport
     while True:
         more = fh.read(_CHUNK_BYTES)
         buf += more
-        if not more and buf and not buf.endswith(b"\n"):
+        if not more and buf and not buf.endswith((b"\n", b"\r")):
             buf += b"\n"  # csv.reader reads a last line without its end the same way
+        # a line ends at a \n, or at a \r that no \n follows (one that ends
+        # the file too), as csv.reader splits a file opened with newline=""
         arr = np.frombuffer(buf, np.uint8)
-        ends = np.flatnonzero(arr == 10)
-        # whole batches of lines, or every line once the file is read
-        n = (line + len(ends)) // _BATCH_ROWS * _BATCH_ROWS - line if more else len(ends)
-        if not n:
-            if more:
-                continue
-            return parser, line, None
-        clean = _csv_lines(buf, arr, ends[:n])
-        handover = clean < n
-        if handover:  # csv.reader takes the rest from the start of that line's batch
-            n = (line + clean) // _BATCH_ROWS * _BATCH_ROWS - line
-        size = int(ends[n - 1]) + 1 if n else 0
-        if n and not line:
-            header = buf[:ends[0]].rstrip(b"\r").decode("ascii")
-            parser = _LogParser(kind, header.split(",") if header else [], source, rejects)
-            if n > 1:
-                parser.byte_lines(buf[ends[0] + 1:size], 1)
-        elif n:
-            parser.byte_lines(buf[:size], line)
-        line, offset, buf = line + n, offset + size, buf[size:]
-        if handover:
+        ends, cr = np.flatnonzero(arr == 10), np.flatnonzero(arr == 13)
+        bare = cr[np.take(arr, cr + 1, mode="clip") != 10]
+        ends = np.sort(np.concatenate([ends, bare])) if len(bare) else ends
+        if more and buf.endswith(b"\r"):  # its \n may come in the next read
+            ends = ends[:-1]
+        # the lines before the first that csv.reader must read
+        quote = buf.find(b'"')
+        n = len(ends) if quote < 0 else int(np.searchsorted(ends, quote))
+        long = np.flatnonzero(np.diff(ends[:n], prepend=-1) - 1 > csv.field_size_limit())
+        n = int(long[0]) if len(long) else n
+        if n:
+            size = int(ends[n - 1]) + 1
+            lines, buf = buf[:size], buf[size:]
+            if not lines.isascii():  # only checks: read_log_csv names the line of a bad byte
+                lines.decode("utf-8")
+            if parser is None:  # the first line is the header
+                header = lines[:ends[0]].rstrip(b"\r").decode("utf-8")
+                parser = _LogParser(kind, header.split(",") if header else [], source, rejects)
+                parser.byte_lines(lines, ends[:n], 2)
+            else:
+                parser.byte_lines(lines, np.append(-1, ends[:n]), line + 1)
+            line, offset = line + n, offset + size
+        # with every ended line parsed, buf holds the one not yet ended,
+        # which csv.reader takes as soon as it is over-long
+        if n < len(ends) or len(buf) > csv.field_size_limit() + 1:
             return parser, line, offset
+        if not more:
+            return parser, line, None
 
 
 def _csv_log(lines: Iterable[str], kind: str, source: str, rejects: RejectReport,
@@ -881,11 +871,10 @@ def _csv_log(lines: Iterable[str], kind: str, source: str, rejects: RejectReport
     return parser
 
 
-def _utf8_error(path: Path, offset: int = 0, line: int = 0) -> str:
-    """Where and why the text of ``path`` after byte ``offset``, which ends
-    line ``line``, is not UTF-8: ``<line>: <reason>``."""
+def _utf8_error(path: Path) -> str:
+    """Where and why the text of ``path`` is not UTF-8: ``<line>: <reason>``."""
+    line = 0
     with open(path, "rb") as fh:
-        fh.seek(offset)
         for raw in fh:
             try:
                 raw.decode("utf-8")
@@ -923,24 +912,24 @@ def read_log_csv(
     """Parse one activity log file, read as UTF-8: the table and rejects
     :func:`parse_log_file` gives for its lines.
 
-    The byte tokenizer parses the file up to the first batch of _BATCH_ROWS
-    lines that holds a quote, a bare ``\\r``, NUL, a non-ASCII byte or a
-    line longer than ``csv.field_size_limit()``; ``csv.reader`` parses the
-    rest, from the start of that batch, since a quoted field can span lines.
-    Bytes that are not UTF-8 raise ValueError naming the file and line.
+    The byte tokenizer parses the file up to its first line that holds a
+    quote or is longer than ``csv.field_size_limit()``; ``csv.reader``
+    parses the rest, from the start of that line, since a quoted field can
+    span lines.  Bytes that are not UTF-8 raise ValueError naming the file
+    and line.
     """
     _layout(kind)
     path = Path(path)
     rejects = RejectReport() if rejects is None else rejects
     with open(path, "rb") as fh:
-        parser, line, offset = _tokenize(fh, kind, path.name, rejects)
-        if offset is not None:
-            fh.seek(offset)
-            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-                try:
+        try:
+            parser, line, offset = _tokenize(fh, kind, path.name, rejects)
+            if offset is not None:
+                fh.seek(offset)
+                with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
                     parser = _csv_log(text, kind, path.name, rejects, line, parser)
-                except UnicodeDecodeError:
-                    raise ValueError(f"{path.name}:{_utf8_error(path, offset, line)}") from None
+        except UnicodeDecodeError:
+            raise ValueError(f"{path.name}:{_utf8_error(path)}") from None
     if parser is None:
         raise SchemaError(f"{path.name}: empty file, expected a {kind} header")
     return parser.table()

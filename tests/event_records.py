@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from typing import Iterable
@@ -145,17 +144,16 @@ class ReferenceLog:
     strings: dict[str, list[str]]
 
 
-def reference_log(text: str, kind: str, batch_rows: int) -> ReferenceLog:
+def reference_log(text: str, kind: str) -> ReferenceLog:
     """Parse the text of a ``kind`` log row by row: ``csv.reader`` over its
     lines (ended by ``\\n``, ``\\r\\n`` or ``\\r``), stripped fields and
     ``datetime.strptime``.
 
     Users, machines and file names are numbered in order of first
-    appearance among the valid rows.  Addresses are too, a batch of
-    ``batch_rows`` rows (the header is row 0) at a time, with the
-    recipients of a batch, email by email, before its senders.  Text that is
-    not CSV raises ``csv.Error``, and a header without the log's columns
-    ``KeyError``.
+    appearance among the valid rows.  Addresses are too, email by email,
+    with the to, cc and bcc recipients of an email before its sender.  Text
+    that is not CSV raises ``csv.Error``, and a header without the log's
+    columns ``KeyError``.
     """
     layout = LOG_LAYOUTS[kind]
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -164,9 +162,9 @@ def reference_log(text: str, kind: str, batch_rows: int) -> ReferenceLog:
     columns = [names[name] for name in layout.required]
     width = max(columns) + 1
     activities = {activity.lower(): k for k, activity in layout.activities.items()}
-    valid: list[tuple[int, LogEvent]] = []  # with each event's row number
+    events: list[LogEvent] = []
     rejected = []
-    for number, (line, row) in enumerate(rows[1:], start=1):
+    for line, row in rows[1:]:
         if not row:
             continue
         if len(row) < width:
@@ -205,15 +203,10 @@ def reference_log(text: str, kind: str, batch_rows: int) -> ReferenceLog:
                 rejected.append((line, "empty filename", "empty filename"))
                 continue
             payload, event_kind = FilePayload(filename), "file_copy"
-        valid.append((number, LogEvent(event_id, timestamp, user, pc, event_kind, payload)))
+        events.append(LogEvent(event_id, timestamp, user, pc, event_kind, payload))
 
-    events = [event for _, event in valid]
-    emails = [(number, event.payload) for number, event in valid if event.kind == "email"]
-    addresses = []
-    for _, batch in itertools.groupby(emails, lambda pair: pair[0] // batch_rows):
-        batch = [payload for _, payload in batch]
-        addresses += [a for payload in batch for a in payload.recipients()]
-        addresses += [payload.sender for payload in batch]
+    addresses = [a for e in events if e.kind == "email"
+                 for a in (*e.payload.recipients(), e.payload.sender)]
     return ReferenceLog(events, rejected, {
         "users": list(dict.fromkeys(e.user for e in events)),
         "pcs": list(dict.fromkeys(e.pc for e in events)),

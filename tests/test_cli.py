@@ -162,6 +162,37 @@ def test_invalid_config_diagnostics(tmp_path, capsys):
     assert "--seed must be non-negative" in capsys.readouterr().err
 
 
+def test_config_is_read_as_utf8_in_any_locale(tmp_path, capsys):
+    config = write_config(tmp_path / "cfg.json", out_dir="out", internal_domain="d\u00e4ta.com")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("INSIDERANK_OUT", None)
+    proc = subprocess.run([sys.executable, "-m", "insiderank.cli", "synth", "--config", config],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "corpus" / "logon.csv").exists()
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"internal_domain": "d\u00e4ta.com"}'.encode("latin-1"))
+    assert main(["synth", "--config", str(latin1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: {latin1} is not UTF-8 ("), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("key, value", [("eigen_tol", 0), ("eigen_tol", -1e-10),
+                                        ("eigen_max_iter", 0)])
+def test_eigen_settings_that_cannot_converge_are_refused_before_any_stage_writes(
+        tmp_path, corpus, capsys, key, value):
+    config = write_config(tmp_path / "cfg.json", log_dir=str(corpus),
+                          out_dir=str(tmp_path / "out"), **{key: value})
+    assert main(["pipeline", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: {key} must be "), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_calendar_times_with_a_utc_offset_are_refused(tmp_path, capsys):
     for offsets in ({"bh_start": "08:00+01:00"},
                     {"bh_start": "08:00+01:00", "bh_end": "17:00+01:00"}):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import random
 import re
@@ -163,9 +164,9 @@ def _assert_same_table(table, expected):
 
 
 def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
-    # runs of rejects fill whole batches when they are small; events, code
-    # tables, reject order and the written file must not depend on where
-    # batches split
+    # runs of rejects fill whole batches when they are small; the table,
+    # every code table, reject order and the written file must not depend on
+    # where batches or reads split
     rng = random.Random(11)
     lines = ["id,date,user,pc,to,cc,bcc,from,size,attachments,content"]
     for i in range(300):
@@ -177,37 +178,81 @@ def test_batch_size_does_not_change_the_parse(monkeypatch, tmp_path):
         lines.append(f"e{i},{stamp},{user},PC-{i % 4},{rcpt},{rcpt[:5]},,{sender},{size},1,")
         if i % 37 == 0:
             lines.append(f"short{i},01/04/2010")
-    whole_rejects = RejectReport()
-    whole = parse_log_file(lines, "email", rejects=whole_rejects)
+    whole = parse_log_file(lines, "email")
+    write_log_file(tmp_path / "whole.csv", whole, "email")
     monkeypatch.setattr(ingest, "_BATCH_ROWS", 7)
-    batched_rejects = RejectReport()
-    batched = parse_log_file(lines, "email", rejects=batched_rejects)
-    assert events_of(batched) == events_of(whole) and len(whole) > 0
-    assert batched_rejects == whole_rejects and len(whole_rejects) > 0
-    assert [line for _, line, _ in whole_rejects.rows] == sorted(
-        line for _, line, _ in whole_rejects.rows)
     write_log_file(tmp_path / "batched.csv", whole, "email")
     monkeypatch.undo()
-    write_log_file(tmp_path / "whole.csv", whole, "email")
     assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
-    # the byte tokenizer gives csv.reader's table and rejects, also when
-    # reads of a few bytes split rows and CRLF pairs, and when a quoted row
-    # hands the rest of the file to csv.reader
+    # csv.reader alone and the byte tokenizer give the table and rejects of
+    # the default sizes, also when reads of a few bytes split rows and CRLF
+    # pairs, and when a quoted row hands the rest of the file to csv.reader
     quoted = 'q1,01/04/2010 09:00:00,U9,PC-9,"a@dtaa.com,",,,n@dtaa.com,1,1,"two\r\nlines"'
     path = tmp_path / "email.csv"
     for rows in (lines, lines[:200] + [quoted] + lines[200:]):
         text = "".join(row + "\r\n" for row in rows)
         path.write_bytes(text.encode())
-        for batch_rows, chunk_bytes in ((ingest._BATCH_ROWS, ingest._CHUNK_BYTES), (7, 3)):
+        parsers = [lambda r: parse_log_file(io.StringIO(text, newline=""), "email",
+                                            source=path.name, rejects=r),
+                   lambda r: read_log_csv(path, "email", rejects=r)]
+        expected_rejects = RejectReport()
+        expected = parsers[0](expected_rejects)
+        assert len(expected) > 0 and len(expected_rejects) > 0
+        assert [line for _, line, _ in expected_rejects.rows] == sorted(
+            line for _, line, _ in expected_rejects.rows)
+        for batch_rows, chunk_bytes in itertools.product((ingest._BATCH_ROWS, 7),
+                                                         (ingest._CHUNK_BYTES, 3)):
             monkeypatch.setattr(ingest, "_BATCH_ROWS", batch_rows)
             monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
-            expected_rejects, rejects = RejectReport(), RejectReport()
-            expected = parse_log_file(io.StringIO(text, newline=""), "email", source=path.name,
-                                      rejects=expected_rejects)
-            _assert_same_table(read_log_csv(path, "email", rejects=rejects), expected)
-            assert rejects == expected_rejects
+            for parse in parsers:
+                rejects = RejectReport()
+                _assert_same_table(parse(rejects), expected)
+                assert rejects == expected_rejects
             monkeypatch.undo()
+
+
+def test_unquoted_lines_never_reach_csv_reader(monkeypatch, tmp_path):
+    # NUL, non-ASCII bytes and bare \r line ends are the byte tokenizer's,
+    # in any read size; a last line may end in a bare \r
+    rows = ["id,date,user,pc,to,cc,bcc,from,size,attachments,content",
+            "e1,01/04/2010 09:00:00,U\x001,PC-1,\u00e9@x.com;a@x.com,,,b@x.com,1,0,caf\u00e9",
+            "\u00e92,01/04/2010 09:00:01,\u00a0U2,PC-\u00df,,a@x.com,,\u2003b@x.com,\u0663,0,",
+            "e3,\u00e9junk,U1,PC-1,,,,a@x.com,1,1,",
+            "",
+            "e4,01/04/2010 09:00:02,U3,PC-1,b@x.com,,\u00e9@x.com,c@x.com,2,\u00a01,\x00"]
+    text = "\r\n".join(rows[:2]) + "\r" + "\n".join(rows[2:5]) + "\r" + rows[5] + "\r"
+    path = tmp_path / "email.csv"
+    path.write_bytes(text.encode())
+    expected_rejects = RejectReport()
+    expected = parse_log_file(io.StringIO(text, newline=""), "email", source=path.name,
+                              rejects=expected_rejects)
+    assert len(expected) == 3 and len(expected_rejects) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("csv.reader was called")
+
+    monkeypatch.setattr(ingest, "_csv_log", refuse)
+    for chunk_bytes in (ingest._CHUNK_BYTES, 1, 2, 5):
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk_bytes)
+        rejects = RejectReport()
+        _assert_same_table(read_log_csv(path, "email", rejects=rejects), expected)
+        assert rejects == expected_rejects
+
+
+def test_a_bad_byte_in_a_later_read_is_named_at_its_line(monkeypatch, tmp_path):
+    # the byte tokenizer finds it past reads that were UTF-8, also in the
+    # content field, which it never decodes
+    path = tmp_path / "file.csv"
+    path.write_bytes(b"id,date,user,pc,filename,content\n"
+                     b"a,01/02/2010 08:00:00,U\xc3\xa9,PC-1,a.doc,\r"
+                     + b"b,01/02/2010 08:00:00,U1,PC-1,b.doc,\r\n" * 20
+                     + b"c,01/02/2010 08:00:00,U1,PC-1,c.doc,caf\xe9\n")
+    monkeypatch.setattr(ingest, "_csv_log", None)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 64)
+    with pytest.raises(ValueError, match=r"^file\.csv:23: byte 0xe9 is not UTF-8 "
+                                         r"\(invalid continuation byte\)$"):
+        read_log_csv(path, "file")
 
 
 def test_a_log_that_is_not_utf8_names_its_line(tmp_path):
@@ -246,6 +291,33 @@ def test_a_line_longer_than_the_field_size_limit_goes_to_csv_reader(tmp_path):
             read_log_csv(path, "file")
     finally:
         csv.field_size_limit(limit)
+
+
+def test_a_line_goes_to_csv_reader_once_it_outgrows_the_limit(monkeypatch, tmp_path):
+    # the byte tokenizer does not read on to the end of an over-long line
+    path = tmp_path / "file.csv"
+    path.write_text("id,date,user,pc,filename,content\n"
+                    "f1,01/02/2010 08:00:00,U1,PC-1,a.doc," + "x" * 300_000 + "\n")
+    read, read_at_handover = [], []
+
+    class Counted(io.BufferedReader):
+        def read(self, size=-1):
+            read.append(len(data := super().read(size)))
+            return data
+
+    parse_rest = ingest._csv_log
+
+    def csv_log(*args, **kwargs):
+        read_at_handover.append(sum(read))
+        return parse_rest(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "open", lambda p, mode: Counted(io.FileIO(p, mode)),
+                        raising=False)
+    monkeypatch.setattr(ingest, "_csv_log", csv_log)
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1 << 12)
+    with pytest.raises(ValueError, match=r"^file\.csv:2: field larger than field limit"):
+        read_log_csv(path, "file")
+    assert read_at_handover[0] <= csv.field_size_limit() + 2 * ingest._CHUNK_BYTES
 
 
 def test_round_trip_parse_write_parse(tmp_path):

@@ -112,7 +112,7 @@ def log_texts(draw):
 @given(log_texts(), st.integers(1, 64), st.integers(1, 5))
 def test_read_log_csv_agrees_with_the_reference(log, chunk_bytes, batch_rows):
     kind, text = log
-    expected = reference_log(text, kind, batch_rows)
+    expected = reference_log(text, kind)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), \
             mock.patch.object(ingest, "_BATCH_ROWS", batch_rows):
